@@ -11,15 +11,17 @@
 // {3,8,14,26,40,54,70,94,118,142} can capture the correlations a
 // conventional TAGE needs 15 tables and 1930 history bits for — the
 // paper's headline BF-TAGE result (Figs. 10-12).
+//
+// Everything but the history is the conventional TAGE kernel
+// (tage.Kernel): this package supplies the BF-GHR index/tag hashing and
+// the BST + segmented recency stack history retire.
 package bftage
 
 import (
 	"fmt"
-	"math/bits"
 
 	"bfbp/internal/bst"
 	"bfbp/internal/history"
-	"bfbp/internal/looppred"
 	"bfbp/internal/predictor/tage"
 	"bfbp/internal/rng"
 	"bfbp/internal/rs"
@@ -27,15 +29,11 @@ import (
 	"bfbp/internal/trace"
 )
 
-// Config parameterises BF-TAGE.
+// Config parameterises BF-TAGE: the shared TAGE configuration (whose
+// table HistLen is measured in BF-GHR bits — compressed history, not raw
+// branches) plus the bias-free history.
 type Config struct {
-	// Name overrides the reported predictor name.
-	Name string
-	// BaseLogEntries is log2 of the bimodal base size.
-	BaseLogEntries int
-	// Tables configures the tagged tables; HistLen is measured in BF-GHR
-	// bits (compressed history), not raw branches.
-	Tables []tage.TableConfig
+	tage.Config
 	// UnfilteredBits is the number of recent unfiltered history bits kept
 	// at the front of the BF-GHR (16 in §VI-C, to damp dynamic-detection
 	// perturbations).
@@ -51,17 +49,6 @@ type Config struct {
 	// Classifier overrides the 2-bit FSM BST (e.g. bst.Oracle for the
 	// §VI-D static profile-assisted variant).
 	Classifier bst.Classifier
-	// PathBits is the path-history width (16).
-	PathBits int
-	// LoopPredictor, StatisticalCorrector, IUM enable the ISL components
-	// BF-ISL-TAGE inherits (§VI-C).
-	LoopPredictor        bool
-	StatisticalCorrector bool
-	IUM                  bool
-	// UResetPeriod is the useful-bit reset period (default 2^18).
-	UResetPeriod int
-	// Seed drives allocation randomisation.
-	Seed uint64
 }
 
 // PaperSegBounds is the §VI-C history segmentation.
@@ -96,18 +83,20 @@ func conventional(n int, sc, ium bool) Config {
 	// costs (BST 2KB + RS 284B + unfiltered history 3KB, Table I).
 	const targetTaggedBits = (48*1024 - 2048 - 284 - 3072) * 8
 	cfg := Config{
-		Name:                 fmt.Sprintf("bf-isl-tage-%d", n),
-		BaseLogEntries:       14,
-		Tables:               tage.SizeTables(Histories(n), targetTaggedBits),
-		UnfilteredBits:       16,
-		SegBounds:            PaperSegBounds(),
-		SegSize:              8,
-		BSTEntries:           8192,
-		PathBits:             16,
-		LoopPredictor:        true,
-		StatisticalCorrector: sc,
-		IUM:                  ium,
-		Seed:                 0xBF7A6E,
+		Config: tage.Config{
+			Name:                 fmt.Sprintf("bf-isl-tage-%d", n),
+			BaseLogEntries:       14,
+			Tables:               tage.SizeTables(Histories(n), targetTaggedBits),
+			PathBits:             16,
+			LoopPredictor:        true,
+			StatisticalCorrector: sc,
+			IUM:                  ium,
+			Seed:                 0xBF7A6E,
+		},
+		UnfilteredBits: 16,
+		SegBounds:      PaperSegBounds(),
+		SegSize:        8,
+		BSTEntries:     8192,
 	}
 	if !sc && !ium {
 		cfg.Name = fmt.Sprintf("bf-tage-%d", n)
@@ -115,94 +104,24 @@ func conventional(n int, sc, ium bool) Config {
 	return cfg
 }
 
-// table is one tagged bank in structure-of-arrays layout: tags, counters,
-// and useful bits live in parallel dense arrays instead of a fat entry
-// struct, so the provider scan touches 2 bytes per probe, the useful-bit
-// reset is a word-wise clear, and each array stays cache-line packed.
-type table struct {
-	cfg     tage.TableConfig
-	tags    []uint16
-	ctrs    []int8
-	useful  []uint64 // bitset, entry i at word i/64 bit i%64
-	mask    uint64
-	tagMask uint32
-	// Fold-pipeline register ids: index fold, tag folds, address-bit fold.
+// bank is one tagged table's BF-GHR key parameters: its geometry and its
+// fold-pipeline register ids (index fold, tag folds, address-bit fold).
+type bank struct {
+	cfg                 tage.TableConfig
+	mask                uint64
+	tagMask             uint32
 	rIdx, rT0, rT1, rPC int
-
-	// Occupancy accounting for StateProbe, maintained on the rare
-	// allocate path only: alloc marks indices that have ever been
-	// installed, live counts them, and evictions counts installs that
-	// displaced a previously allocated entry (tag conflicts). Pure
-	// observation — never serialised, never read by prediction.
-	alloc     []uint64
-	live      int
-	allocs    uint64
-	evictions uint64
-}
-
-// u reads entry i's useful bit.
-func (t *table) u(i uint32) bool { return t.useful[i>>6]>>(i&63)&1 != 0 }
-
-// setU writes entry i's useful bit.
-func (t *table) setU(i uint32, b bool) {
-	m := uint64(1) << (i & 63)
-	if b {
-		t.useful[i>>6] |= m
-	} else {
-		t.useful[i>>6] &^= m
-	}
-}
-
-type checkpoint struct {
-	pc          uint64
-	idx         []uint32
-	tag         []uint32
-	provider    int
-	alt         int
-	newlyAlloc  bool
-	basePred    bool
-	baseIdx     uint32
-	provPred    bool
-	altPred     bool
-	tagePred    bool
-	scSum       int32
-	scIdx       uint32
-	scApplied   bool
-	loopPred    bool
-	loopValid   bool
-	loopApplied bool
-	finalPred   bool
 }
 
 // Predictor is the BF-TAGE predictor.
 type Predictor struct {
+	tage.Kernel
 	cfg    Config
-	tables []*table
-
-	basePred []bool
-	baseHyst []bool
-	baseMask uint64
+	tables []bank
 
 	class bst.Classifier
 	seg   *rs.Segmented
 	path  *history.Path
-
-	useAltOnNA int32
-	tick       int
-	r          *rng.SplitMix64
-
-	loop     *looppred.Predictor
-	withLoop int32
-
-	sc     []int8
-	scMask uint64
-
-	// pending is an in-order FIFO of in-flight checkpoints: live entries
-	// are pending[pendStart:]; popped slots are compacted away lazily so
-	// steady-state operation never reallocates.
-	pending      []checkpoint
-	pendStart    int
-	providerHits []uint64
 
 	// pipe is the dual-channel fold pipeline over the BF-GHR's outcome
 	// bits (channel 0) and address bits (channel 1): one register per
@@ -210,6 +129,8 @@ type Predictor struct {
 	// the recency-stack segments mutate instead of re-derived from the
 	// GHR per lookup.
 	pipe *history.FoldPipeline
+	// folds is FoldAll2 scratch, indexed by (global) register id.
+	folds []uint64
 
 	// ghrVec / pcsVec hold the packed BF-GHR (outcome bits) and the
 	// parallel address-bit vector, rebuilt per reference lookup without
@@ -217,26 +138,11 @@ type Predictor struct {
 	// pipeline path to it).
 	ghrVec history.BitVec
 	pcsVec history.BitVec
-	// slicePool recycles checkpoint idx/tag slices once their branch
-	// commits, so Predict stops hitting growslice on every branch.
-	slicePool [][]uint32
-	// batchIdx / batchTag are the fused batch step's scratch index/tag
-	// arrays: SimulateBatch consumes each checkpoint immediately, so it
-	// never goes through the FIFO or the slice pool.
-	batchIdx []uint32
-	batchTag []uint32
-	// folds is FoldAll2 scratch, indexed by (global) register id.
-	folds []uint64
 }
 
 // New returns a BF-TAGE predictor for cfg.
 func New(cfg Config) *Predictor {
-	if len(cfg.Tables) == 0 {
-		panic("bftage: need at least one tagged table")
-	}
-	if cfg.BaseLogEntries < 4 || cfg.BaseLogEntries > 24 {
-		panic("bftage: BaseLogEntries out of range")
-	}
+	k := tage.NewKernel(&cfg.Config, "bftage", "bf-tage")
 	if cfg.UnfilteredBits < 0 || cfg.UnfilteredBits > 64 {
 		panic("bftage: UnfilteredBits out of range")
 	}
@@ -246,66 +152,43 @@ func New(cfg Config) *Predictor {
 	if cfg.BSTEntries <= 0 || cfg.BSTEntries&(cfg.BSTEntries-1) != 0 {
 		panic("bftage: BSTEntries must be a positive power of two")
 	}
-	if cfg.PathBits <= 0 {
-		cfg.PathBits = 16
-	}
-	if cfg.UResetPeriod == 0 {
-		cfg.UResetPeriod = 1 << 18
-	}
 	p := &Predictor{
-		cfg:          cfg,
-		basePred:     make([]bool, 1<<cfg.BaseLogEntries),
-		baseHyst:     make([]bool, 1<<(cfg.BaseLogEntries-2)),
-		baseMask:     uint64(1<<cfg.BaseLogEntries - 1),
-		seg:          rs.NewSegmented(cfg.SegBounds, cfg.SegSize),
-		path:         history.NewPath(cfg.PathBits),
-		useAltOnNA:   8,
-		r:            rng.New(cfg.Seed | 1),
-		providerHits: make([]uint64, len(cfg.Tables)+1),
+		Kernel: k,
+		cfg:    cfg,
+		seg:    rs.NewSegmented(cfg.SegBounds, cfg.SegSize),
+		path:   history.NewPath(cfg.PathBits),
+		class:  cfg.Classifier,
 	}
-	if cfg.Classifier != nil {
-		p.class = cfg.Classifier
-	} else {
+	if p.class == nil {
 		p.class = bst.NewTable(cfg.BSTEntries)
 	}
-	ghrBits := cfg.UnfilteredBits + p.seg.Bits()
 	// Ablation variants sweep SegSize past what the fold pipeline can
 	// pack (a segment must span at most two words, register widths at
 	// most 64-SegSize bits). Those configs keep the scalar reference
 	// fold path; fillKeys falls back when pipe is nil.
 	maxW := 1
 	for _, tc := range cfg.Tables {
-		maxW = maxInt(maxW, maxInt(tc.LogEntries, tc.TagBits))
+		maxW = max(maxW, tc.LogEntries, tc.TagBits)
 	}
 	if history.PipelineOK(cfg.SegSize, maxW) {
 		p.pipe = history.NewFoldPipeline(cfg.UnfilteredBits, cfg.SegSize, p.seg.Segments())
 	}
-	prev := 0
 	for _, tc := range cfg.Tables {
-		if tc.HistLen <= prev {
-			panic("bftage: history lengths must be strictly increasing")
-		}
-		prev = tc.HistLen
-		if tc.HistLen > ghrBits {
+		if tc.HistLen > p.GHRBits() {
 			panic("bftage: history length exceeds BF-GHR width")
 		}
-		n := 1 << tc.LogEntries
-		t := &table{
+		b := bank{
 			cfg:     tc,
-			tags:    make([]uint16, n),
-			ctrs:    make([]int8, n),
-			useful:  make([]uint64, (n+63)/64),
 			mask:    uint64(1<<tc.LogEntries - 1),
 			tagMask: uint32(1<<tc.TagBits - 1),
-			alloc:   make([]uint64, (n+63)/64),
 		}
 		if p.pipe != nil {
-			t.rIdx = p.pipe.AddRegisterCh(0, tc.HistLen, tc.LogEntries)
-			t.rT0 = p.pipe.AddRegisterCh(0, tc.HistLen, tc.TagBits)
-			t.rT1 = p.pipe.AddRegisterCh(0, tc.HistLen, maxInt(tc.TagBits-1, 1))
-			t.rPC = p.pipe.AddRegisterCh(1, tc.HistLen, maxInt(tc.LogEntries-1, 1))
+			b.rIdx = p.pipe.AddRegisterCh(0, tc.HistLen, tc.LogEntries)
+			b.rT0 = p.pipe.AddRegisterCh(0, tc.HistLen, tc.TagBits)
+			b.rT1 = p.pipe.AddRegisterCh(0, tc.HistLen, max(tc.TagBits-1, 1))
+			b.rPC = p.pipe.AddRegisterCh(1, tc.HistLen, max(tc.LogEntries-1, 1))
 		}
-		p.tables = append(p.tables, t)
+		p.tables = append(p.tables, b)
 	}
 	if p.pipe != nil {
 		p.seg.SetPackObserver(func(seg int, dT, dP uint64) {
@@ -313,31 +196,14 @@ func New(cfg Config) *Predictor {
 		})
 		p.folds = make([]uint64, p.pipe.NumRegisters())
 	}
-	p.batchIdx = make([]uint32, len(p.tables))
-	p.batchTag = make([]uint32, len(p.tables))
-	if cfg.LoopPredictor {
-		p.loop = looppred.NewDefault()
-	}
-	if cfg.StatisticalCorrector {
-		p.sc = make([]int8, 1<<12)
-		p.scMask = uint64(len(p.sc) - 1)
-	}
 	return p
 }
 
-// Name implements sim.Predictor.
-func (p *Predictor) Name() string {
-	if p.cfg.Name != "" {
-		return p.cfg.Name
-	}
-	return "bf-tage"
-}
-
-// NumTables returns the tagged table count.
-func (p *Predictor) NumTables() int { return len(p.tables) }
-
 // GHRBits returns the BF-GHR width in bits.
 func (p *Predictor) GHRBits() int { return p.cfg.UnfilteredBits + p.seg.Bits() }
+
+// Classifier exposes the BST.
+func (p *Predictor) Classifier() bst.Classifier { return p.class }
 
 // BankReach returns, per tagged table, the raw-branch depth the table's
 // compressed history can observe. A table consuming L BF-GHR bits sees
@@ -348,8 +214,8 @@ func (p *Predictor) GHRBits() int { return p.cfg.UnfilteredBits + p.seg.Bits() }
 // equal-storage structural advantage.
 func (p *Predictor) BankReach() []int {
 	out := make([]int, len(p.tables))
-	for i, t := range p.tables {
-		out[i] = p.reach(t.cfg.HistLen)
+	for i := range p.tables {
+		out[i] = p.reach(p.tables[i].cfg.HistLen)
 	}
 	return out
 }
@@ -380,25 +246,6 @@ func (p *Predictor) buildGHR() {
 	p.seg.AppendPacked(&p.ghrVec, &p.pcsVec)
 }
 
-// getSlices pulls a recycled idx/tag slice pair for a checkpoint.
-func (p *Predictor) getSlices(n int) (idx, tag []uint32) {
-	if k := len(p.slicePool); k >= 2 {
-		idx = p.slicePool[k-1][:n]
-		tag = p.slicePool[k-2][:n]
-		p.slicePool = p.slicePool[:k-2]
-		return idx, tag
-	}
-	return make([]uint32, n), make([]uint32, n)
-}
-
-// putSlices returns a retired checkpoint's slices to the pool.
-func (p *Predictor) putSlices(cp *checkpoint) {
-	if cp.idx != nil {
-		p.slicePool = append(p.slicePool, cp.idx, cp.tag)
-		cp.idx, cp.tag = nil, nil
-	}
-}
-
 // fillKeys computes every table's index and tag from the fold pipelines:
 // each fold is a register tail XORed with the cheap fold of the ring's
 // packed unfiltered prefix — no BF-GHR rebuild, no FoldWords walk.
@@ -413,7 +260,8 @@ func (p *Predictor) fillKeys(pc uint64, idx, tag []uint32) {
 	p.pipe.FoldAll2(uT, uP, p.folds)
 	pch := rng.Hash64(pc >> 2)
 	path := p.path.Value()
-	for i, t := range p.tables {
+	for i := range p.tables {
+		t := &p.tables[i]
 		key := pch ^ p.folds[t.rIdx] ^ p.folds[t.rPC]<<1 ^ path<<20 ^ uint64(i)<<56
 		idx[i] = uint32(rng.Hash64(key) & t.mask)
 		tag[i] = (uint32(pch>>8) ^ uint32(p.folds[t.rT0]) ^ uint32(p.folds[t.rT1])<<1) & t.tagMask
@@ -428,156 +276,29 @@ func (p *Predictor) fillKeysRef(pc uint64, idx, tag []uint32) {
 	bits, pcs := p.ghrVec.Words(), p.pcsVec.Words()
 	pch := rng.Hash64(pc >> 2)
 	path := p.path.Value()
-	for i, t := range p.tables {
+	for i := range p.tables {
+		t := &p.tables[i]
 		l := t.cfg.HistLen
 		fIdx := history.FoldWords(bits, l, t.cfg.LogEntries)
-		fPC := history.FoldWords(pcs, l, maxInt(t.cfg.LogEntries-1, 1))
+		fPC := history.FoldWords(pcs, l, max(t.cfg.LogEntries-1, 1))
 		key := pch ^ fIdx ^ fPC<<1 ^ path<<20 ^ uint64(i)<<56
 		idx[i] = uint32(rng.Hash64(key) & t.mask)
 		fT0 := history.FoldWords(bits, l, t.cfg.TagBits)
-		fT1 := history.FoldWords(bits, l, maxInt(t.cfg.TagBits-1, 1))
+		fT1 := history.FoldWords(bits, l, max(t.cfg.TagBits-1, 1))
 		tag[i] = (uint32(pch>>8) ^ uint32(fT0) ^ uint32(fT1)<<1) & t.tagMask
-	}
-}
-
-// finishLookup reads the base bimodal, scans the tagged tables for
-// provider and alternate, and derives the TAGE prediction.
-func (p *Predictor) finishLookup(cp *checkpoint) {
-	cp.baseIdx = uint32((cp.pc >> 2) & p.baseMask)
-	cp.basePred = p.basePred[cp.baseIdx]
-	for i := len(p.tables) - 1; i >= 0; i-- {
-		if uint32(p.tables[i].tags[cp.idx[i]]) == cp.tag[i] {
-			if cp.provider < 0 {
-				cp.provider = i
-			} else {
-				cp.alt = i
-				break
-			}
-		}
-	}
-	if cp.provider >= 0 {
-		t := p.tables[cp.provider]
-		e := cp.idx[cp.provider]
-		ctr := t.ctrs[e]
-		cp.provPred = ctr >= 0
-		cp.newlyAlloc = !t.u(e) && (ctr == 0 || ctr == -1)
-		if cp.alt >= 0 {
-			cp.altPred = p.tables[cp.alt].ctrs[cp.idx[cp.alt]] >= 0
-		} else {
-			cp.altPred = cp.basePred
-		}
-		if cp.newlyAlloc && p.useAltOnNA >= 8 {
-			cp.tagePred = cp.altPred
-		} else {
-			cp.tagePred = cp.provPred
-		}
-	} else {
-		cp.altPred = cp.basePred
-		cp.tagePred = cp.basePred
-	}
-}
-
-func (p *Predictor) lookup(pc uint64) checkpoint {
-	idx, tag := p.getSlices(len(p.tables))
-	cp := checkpoint{
-		pc:       pc,
-		idx:      idx,
-		tag:      tag,
-		provider: -1,
-		alt:      -1,
-	}
-	p.fillKeys(pc, cp.idx, cp.tag)
-	p.finishLookup(&cp)
-	return cp
-}
-
-func (p *Predictor) scIndex(cp *checkpoint) uint32 {
-	conf := uint64(9)
-	if cp.provider >= 0 {
-		conf = uint64(int64(p.tables[cp.provider].ctrs[cp.idx[cp.provider]]) + 4)
-	}
-	dir := uint64(0)
-	if cp.tagePred {
-		dir = 1
-	}
-	return uint32(rng.Hash64((cp.pc>>2)<<5^conf<<1^dir) & p.scMask)
-}
-
-// decide derives the final prediction from the TAGE outcome and the ISL
-// components (SC weak-override, IUM in-flight forwarding, loop override)
-// and records provider attribution.
-func (p *Predictor) decide(cp *checkpoint) {
-	cp.finalPred = cp.tagePred
-
-	if p.sc != nil {
-		cp.scIdx = p.scIndex(cp)
-		cp.scSum = int32(p.sc[cp.scIdx])
-		weak := cp.provider < 0 || cp.newlyAlloc ||
-			isWeak(p.tables[cp.provider].ctrs[cp.idx[cp.provider]])
-		if weak && cp.scSum <= -8 {
-			cp.finalPred = !cp.tagePred
-			cp.scApplied = true
-		}
-	}
-
-	if p.cfg.IUM && cp.provider >= 0 {
-		for j := len(p.pending) - 1; j >= p.pendStart; j-- {
-			q := &p.pending[j]
-			if q.provider == cp.provider && q.idx[q.provider] == cp.idx[cp.provider] {
-				cp.finalPred = q.finalPred
-				break
-			}
-		}
-	}
-
-	if p.loop != nil {
-		lp, lv := p.loop.Predict(cp.pc)
-		cp.loopPred, cp.loopValid = lp, lv
-		if lv && p.withLoop >= 0 {
-			cp.finalPred = lp
-			cp.loopApplied = true
-		}
-	}
-
-	if cp.provider >= 0 {
-		p.providerHits[cp.provider+1]++
-	} else {
-		p.providerHits[0]++
 	}
 }
 
 // Predict implements sim.Predictor.
 func (p *Predictor) Predict(pc uint64) bool {
-	cp := p.lookup(pc)
-	p.decide(&cp)
-	// Compact the FIFO's popped prefix before append would grow it.
-	if len(p.pending) == cap(p.pending) && p.pendStart > 0 {
-		n := copy(p.pending, p.pending[p.pendStart:])
-		p.pending = p.pending[:n]
-		p.pendStart = 0
-	}
-	p.pending = append(p.pending, cp)
-	return cp.finalPred
+	idx, tag := p.Keys()
+	p.fillKeys(pc, idx, tag)
+	return p.Issue(pc, idx, tag)
 }
-
-func isWeak(ctr int8) bool { return ctr == 0 || ctr == -1 }
 
 // Update implements sim.Predictor (§V-B4).
 func (p *Predictor) Update(pc uint64, taken bool, target uint64) {
-	var cp checkpoint
-	if p.pendStart < len(p.pending) && p.pending[p.pendStart].pc == pc {
-		cp = p.pending[p.pendStart]
-		p.pendStart++
-		if p.pendStart == len(p.pending) {
-			p.pending = p.pending[:0]
-			p.pendStart = 0
-		}
-	} else {
-		cp = p.lookup(pc)
-		cp.finalPred = cp.tagePred
-	}
-	p.train(&cp, taken)
-	p.putSlices(&cp)
+	p.Resolve(pc, taken, p.fillKeys)
 	p.retire(pc, taken)
 }
 
@@ -596,202 +317,24 @@ func (p *Predictor) retire(pc uint64, taken bool) {
 	p.path.Push(pc)
 }
 
-// step runs one fused predict+update for the batch path: the checkpoint
-// lives on the stack with reusable scratch index/tag arrays, never
-// entering the pending FIFO or the slice pool. Bit-exact with
-// Predict+Update at update delay zero: the FIFO is empty at every
-// Predict then, so the IUM scan in decide never fires and the FIFO pop
-// in Update always matches.
-func (p *Predictor) step(pc uint64, taken bool) bool {
-	cp := checkpoint{
-		pc:       pc,
-		idx:      p.batchIdx,
-		tag:      p.batchTag,
-		provider: -1,
-		alt:      -1,
-	}
-	p.fillKeys(pc, cp.idx, cp.tag)
-	p.finishLookup(&cp)
-	p.decide(&cp)
-	p.train(&cp, taken)
-	p.retire(pc, taken)
-	return cp.finalPred
-}
-
-// SimulateBatch implements sim.BatchSimulator: the harness hands over a
-// span of trace records and the predictor runs the fused per-branch step,
-// writing each prediction into preds. Falls back to Predict+Update per
-// record while checkpoints are in flight (nonzero update delay drained
-// mid-run), preserving bit-exactness unconditionally.
+// SimulateBatch implements sim.BatchSimulator: the fused per-branch step
+// over a span of records, falling back to Predict+Update while
+// predictions are in flight so the result is bit-exact either way.
 func (p *Predictor) SimulateBatch(recs []trace.Record, preds []bool) {
-	if p.pendStart < len(p.pending) {
+	if p.InFlight() {
 		for i := range recs {
 			preds[i] = p.Predict(recs[i].PC)
 			p.Update(recs[i].PC, recs[i].Taken, recs[i].Target)
 		}
 		return
 	}
+	idx, tag := p.Scratch()
 	for i := range recs {
-		preds[i] = p.step(recs[i].PC, recs[i].Taken)
+		pc, taken := recs[i].PC, recs[i].Taken
+		p.fillKeys(pc, idx, tag)
+		preds[i] = p.Step(pc, idx, tag, taken)
+		p.retire(pc, taken)
 	}
-}
-
-func (p *Predictor) train(cp *checkpoint, taken bool) {
-	if p.loop != nil {
-		if cp.loopValid && cp.loopPred != cp.tagePred {
-			p.withLoop = clamp32(p.withLoop+b2i(cp.loopPred == taken)*2-1, -64, 63)
-		}
-		p.loop.Update(cp.pc, taken, cp.tagePred != taken)
-	}
-
-	if p.sc != nil {
-		v := p.sc[cp.scIdx]
-		if cp.tagePred == taken {
-			if v < 31 {
-				p.sc[cp.scIdx] = v + 1
-			}
-		} else if v > -32 {
-			p.sc[cp.scIdx] = v - 1
-		}
-	}
-
-	if cp.provider >= 0 && cp.newlyAlloc && cp.provPred != cp.altPred {
-		p.useAltOnNA = clamp32(p.useAltOnNA+b2i(cp.altPred == taken)*2-1, 0, 15)
-	}
-
-	if cp.provider >= 0 {
-		t := p.tables[cp.provider]
-		e := cp.idx[cp.provider]
-		t.ctrs[e] = satCtr(t.ctrs[e], taken)
-		if cp.provPred != cp.altPred {
-			t.setU(e, cp.provPred == taken)
-		}
-		if !t.u(e) && isWeak(t.ctrs[e]) {
-			p.baseUpdate(cp.baseIdx, taken)
-		}
-	} else {
-		p.baseUpdate(cp.baseIdx, taken)
-	}
-
-	if cp.tagePred != taken && cp.provider < len(p.tables)-1 {
-		p.allocate(cp, taken)
-	}
-
-	p.tick++
-	if p.tick >= p.cfg.UResetPeriod {
-		p.tick = 0
-		for _, t := range p.tables {
-			// SoA payoff: the periodic useful reset is a word-wise clear.
-			for i := range t.useful {
-				t.useful[i] = 0
-			}
-		}
-	}
-}
-
-func (p *Predictor) baseUpdate(idx uint32, taken bool) {
-	hi := idx >> 2
-	if p.basePred[idx] == taken {
-		p.baseHyst[hi] = true
-		return
-	}
-	if p.baseHyst[hi] {
-		p.baseHyst[hi] = false
-		return
-	}
-	p.basePred[idx] = taken
-}
-
-func (p *Predictor) allocate(cp *checkpoint, taken bool) {
-	start := cp.provider + 1
-	for s := 0; s < 2 && start < len(p.tables)-1; s++ {
-		if p.r.Bool(0.5) {
-			start++
-		}
-	}
-	for i := start; i < len(p.tables); i++ {
-		t := p.tables[i]
-		e := cp.idx[i]
-		if !t.u(e) {
-			w, b := e>>6, uint64(1)<<(e&63)
-			if t.alloc[w]&b == 0 {
-				t.alloc[w] |= b
-				t.live++
-			} else {
-				t.evictions++
-			}
-			t.allocs++
-			t.tags[e] = uint16(cp.tag[i])
-			t.ctrs[e] = int8(b2i(taken) - 1)
-			t.setU(e, false)
-			return
-		}
-	}
-	for i := start; i < len(p.tables); i++ {
-		p.tables[i].setU(cp.idx[i], false)
-	}
-}
-
-func satCtr(c int8, taken bool) int8 {
-	if taken {
-		if c < 3 {
-			return c + 1
-		}
-		return c
-	}
-	if c > -4 {
-		return c - 1
-	}
-	return c
-}
-
-func b2i(b bool) int32 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func clamp32(v, lo, hi int32) int32 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// TableHits implements sim.TableHitReporter.
-func (p *Predictor) TableHits() []uint64 {
-	return append([]uint64(nil), p.providerHits...)
-}
-
-// ResetTableHits clears the provider histogram.
-func (p *Predictor) ResetTableHits() {
-	for i := range p.providerHits {
-		p.providerHits[i] = 0
-	}
-}
-
-// Classifier exposes the BST.
-func (p *Predictor) Classifier() bst.Classifier { return p.class }
-
-// lastPending returns the newest in-flight checkpoint for pc, if any.
-func (p *Predictor) lastPending(pc uint64) (checkpoint, bool) {
-	for j := len(p.pending) - 1; j >= p.pendStart; j-- {
-		if p.pending[j].pc == pc {
-			return p.pending[j], true
-		}
-	}
-	return checkpoint{}, false
 }
 
 // Explain implements sim.Explainer: TAGE provenance (provider/alt bank,
@@ -800,70 +343,14 @@ func (p *Predictor) lastPending(pc uint64) (checkpoint, bool) {
 // BF-TAGE never predicts *from* the filter — the BST only gates history
 // insertion — so FilterDecision stays false.
 func (p *Predictor) Explain(pc uint64) sim.Provenance {
-	cp, ok := p.lastPending(pc)
-	if !ok {
-		cp = p.lookup(pc)
-		cp.finalPred = cp.tagePred
-		// This checkpoint is not in flight, so its slices retire here
-		// (prov only copies scalars out of it below).
-		defer p.putSlices(&cp)
-	}
-	prov := sim.Provenance{
-		Predictor:      p.Name(),
-		Prediction:     cp.finalPred,
-		Banks:          len(p.tables),
-		Provider:       cp.provider,
-		Alt:            cp.alt,
-		ProviderPred:   cp.provPred,
-		AltPred:        cp.altPred,
-		NewlyAllocated: cp.newlyAlloc,
-		BiasState:      p.class.Lookup(pc).String(),
-	}
-	if cp.provider >= 0 {
-		t := p.tables[cp.provider]
-		e := cp.idx[cp.provider]
-		prov.ProviderCtr = t.ctrs[e]
-		prov.ProviderUseful = t.u(e)
-	}
-	switch {
-	case cp.loopApplied:
-		prov.Component = "loop"
-		// The loop predictor only overrides at full confidence.
-		prov.Confidence = 7
-	case cp.scApplied:
-		prov.Component = "sc"
-		prov.Confidence = abs32(2*cp.scSum + 1)
-	case cp.provider >= 0:
-		prov.Component = "tagged"
-		prov.Confidence = abs32(2*int32(prov.ProviderCtr) + 1)
-	default:
-		prov.Component = "base"
-		prov.Confidence = 1
-	}
+	prov := p.Provenance(pc, p.fillKeys)
+	prov.BiasState = p.class.Lookup(pc).String()
 	return prov
-}
-
-func abs32(v int32) int32 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // Storage implements sim.StorageAccounter, mirroring the paper's Table I.
 func (p *Predictor) Storage() sim.Breakdown {
-	b := sim.Breakdown{Name: p.Name()}
-	b.Components = append(b.Components, sim.Component{
-		Name: "base bimodal (pred+hyst)",
-		Bits: len(p.basePred) + len(p.baseHyst),
-	})
-	for i, t := range p.tables {
-		b.Components = append(b.Components, sim.Component{
-			Name: fmt.Sprintf("tagged T%d (bf-hist %d)", i+1, t.cfg.HistLen),
-			Bits: len(t.tags) * (4 + t.cfg.TagBits),
-		})
-	}
-	b.Components = append(b.Components,
+	return p.StorageRows("bf-hist",
 		sim.Component{Name: "BST", Bits: p.class.StorageBits()},
 		sim.Component{Name: "segmented RS", Bits: p.seg.StorageBits()},
 		// Table I: 1536-deep unfiltered history entries of 14-bit hashed
@@ -871,58 +358,14 @@ func (p *Predictor) Storage() sim.Breakdown {
 		sim.Component{Name: "unfiltered history", Bits: 2048 * (14 + 1 + 1)},
 		sim.Component{Name: "path history", Bits: p.cfg.PathBits},
 	)
-	if p.loop != nil {
-		b.Components = append(b.Components, sim.Component{Name: "loop predictor", Bits: p.loop.StorageBits()})
-	}
-	if p.sc != nil {
-		b.Components = append(b.Components, sim.Component{Name: "statistical corrector", Bits: 6 * len(p.sc)})
-	}
-	return b
 }
 
-// ProbeState implements sim.StateProbe: base-table warmth, per-bank
-// occupancy/conflict profiles with both the BF-GHR history length and
-// the raw-branch reach (so capacity-vs-reach reports can compare BF
-// banks against conventional ones), useful-bit and counter saturation,
-// the BST's classification census, the segmented recency stacks' fill,
-// and the statistical corrector's weight saturation. Live counts come
-// from the allocate-path bitmap; everything else is scanned here, off
-// the hot path.
+// ProbeState implements sim.StateProbe: the kernel's base and tagged
+// banks, each with its raw-branch reach (so capacity-vs-reach reports
+// can compare BF banks against conventional ones), plus the BST's
+// classification census and the segmented recency stacks' fill.
 func (p *Predictor) ProbeState() sim.TableStats {
-	ts := sim.TableStats{Predictor: p.Name()}
-	baseLive := 0
-	for i, pred := range p.basePred {
-		if pred || p.baseHyst[i>>2] {
-			baseLive++
-		}
-	}
-	ts.Banks = append(ts.Banks, sim.BankStats{
-		Bank: 0, Kind: "base", Entries: len(p.basePred), Live: baseLive,
-	})
-	for i, t := range p.tables {
-		useful := 0
-		for _, w := range t.useful {
-			useful += bits.OnesCount64(w)
-		}
-		sat := 0
-		for _, c := range t.ctrs {
-			if c == 3 || c == -4 {
-				sat++
-			}
-		}
-		ts.Banks = append(ts.Banks, sim.BankStats{
-			Bank:      i + 1,
-			Kind:      "tagged",
-			Entries:   len(t.tags),
-			Live:      t.live,
-			HistLen:   t.cfg.HistLen,
-			Reach:     p.reach(t.cfg.HistLen),
-			UsefulSet: useful,
-			Saturated: sat,
-			Allocs:    t.allocs,
-			Evictions: t.evictions,
-		})
-	}
+	ts := p.ProbeTables(p.BankReach())
 	if tbl, ok := p.class.(*bst.Table); ok {
 		counts := tbl.StateCounts()
 		ts.Banks = append(ts.Banks, sim.BankStats{
@@ -941,14 +384,12 @@ func (p *Predictor) ProbeState() sim.TableStats {
 			Depth:   p.cfg.SegBounds[i+1],
 		})
 	}
-	if p.sc != nil {
-		ts.Weights = append(ts.Weights, sim.WeightArrayStats(0, "sc", 0, p.sc, -32, 31))
-	}
 	return ts
 }
 
 var (
 	_ sim.Predictor        = (*Predictor)(nil)
+	_ sim.BatchSimulator   = (*Predictor)(nil)
 	_ sim.StorageAccounter = (*Predictor)(nil)
 	_ sim.TableHitReporter = (*Predictor)(nil)
 	_ sim.Explainer        = (*Predictor)(nil)

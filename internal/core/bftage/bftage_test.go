@@ -20,14 +20,16 @@ func smallCfg(n int) Config {
 		tables[i] = tage.TableConfig{HistLen: hists[i], TagBits: tags[i], LogEntries: 9}
 	}
 	return Config{
-		BaseLogEntries: 12,
-		Tables:         tables,
+		Config: tage.Config{
+			BaseLogEntries: 12,
+			Tables:         tables,
+			LoopPredictor:  true,
+			Seed:           1,
+		},
 		UnfilteredBits: 16,
 		SegBounds:      PaperSegBounds(),
 		SegSize:        8,
 		BSTEntries:     1 << 12,
-		LoopPredictor:  true,
-		Seed:           1,
 	}
 }
 
@@ -238,7 +240,7 @@ func tageNew(n int) *tage.Predictor {
 
 func TestValidation(t *testing.T) {
 	for _, f := range []func(){
-		func() { New(Config{BaseLogEntries: 12}) },
+		func() { New(Config{Config: tage.Config{BaseLogEntries: 12}}) },
 		func() {
 			cfg := smallCfg(4)
 			cfg.Tables[0].HistLen = 500 // exceeds BF-GHR

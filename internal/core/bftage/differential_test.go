@@ -1,7 +1,6 @@
 package bftage
 
 import (
-	"bytes"
 	"testing"
 
 	"bfbp/internal/trace"
@@ -46,74 +45,5 @@ func TestFillKeysDifferential(t *testing.T) {
 		}
 		p.Predict(rec.PC)
 		p.Update(rec.PC, rec.Taken, rec.Target)
-	}
-}
-
-// TestBatchMatchesScalar runs the same 20k-branch trace through the
-// canonical Predict/Update pair and through SimulateBatch in ragged
-// spans, requiring identical predictions at every branch and identical
-// snapshot bytes at the end — the sim.BatchSimulator contract.
-func TestBatchMatchesScalar(t *testing.T) {
-	tr := diffTrace(t, 20000)
-	scalar := New(Conventional(10))
-	batched := New(Conventional(10))
-	sizes := []int{1, 3, 17, 64, 256, 1000}
-	preds := make([]bool, 1000)
-	off, si := 0, 0
-	for off < len(tr) {
-		n := sizes[si%len(sizes)]
-		si++
-		if off+n > len(tr) {
-			n = len(tr) - off
-		}
-		batched.SimulateBatch(tr[off:off+n], preds[:n])
-		for i := 0; i < n; i++ {
-			rec := tr[off+i]
-			want := scalar.Predict(rec.PC)
-			scalar.Update(rec.PC, rec.Taken, rec.Target)
-			if preds[i] != want {
-				t.Fatalf("branch %d: batch predicted %v, scalar %v", off+i, preds[i], want)
-			}
-		}
-		off += n
-	}
-	var sb, bb bytes.Buffer
-	if err := scalar.SaveState(&sb); err != nil {
-		t.Fatalf("scalar snapshot: %v", err)
-	}
-	if err := batched.SaveState(&bb); err != nil {
-		t.Fatalf("batch snapshot: %v", err)
-	}
-	if !bytes.Equal(sb.Bytes(), bb.Bytes()) {
-		t.Fatal("batch and scalar predictor snapshots differ")
-	}
-}
-
-// TestSteadyStateAllocs drives the predictor past warmup and requires
-// the scalar and batch hot paths to run allocation-free.
-func TestSteadyStateAllocs(t *testing.T) {
-	tr := diffTrace(t, 40000)
-	p := New(Conventional(10))
-	for _, rec := range tr[:20000] {
-		p.Predict(rec.PC)
-		p.Update(rec.PC, rec.Taken, rec.Target)
-	}
-	i := 0
-	if a := testing.AllocsPerRun(2000, func() {
-		rec := tr[20000+i%10000]
-		i++
-		p.Predict(rec.PC)
-		p.Update(rec.PC, rec.Taken, rec.Target)
-	}); a > 0 {
-		t.Errorf("scalar Predict+Update allocates %.1f per branch in steady state", a)
-	}
-	preds := make([]bool, 512)
-	j := 0
-	if a := testing.AllocsPerRun(20, func() {
-		off := 20000 + (j*512)%10000
-		j++
-		p.SimulateBatch(tr[off:off+512], preds)
-	}); a > 0 {
-		t.Errorf("SimulateBatch allocates %.1f per span in steady state", a)
 	}
 }

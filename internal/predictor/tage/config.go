@@ -4,6 +4,10 @@
 // statistical corrector, and an immediate update mimicker. The number of
 // tagged tables, their history lengths and their sizes are fully
 // configurable, which is what the paper's Fig. 10/11/12 sweeps vary.
+//
+// The TAGE machinery itself is Kernel, which BF-TAGE (internal/core/bftage)
+// embeds unchanged; Predictor is the kernel fed by the conventional raw
+// global history.
 package tage
 
 import "fmt"
@@ -33,7 +37,8 @@ type TableConfig struct {
 	LogEntries int
 }
 
-// Config parameterises a TAGE/ISL-TAGE predictor.
+// Config parameterises a TAGE/ISL-TAGE predictor. It is the kernel's
+// configuration, so BF-TAGE's configuration embeds it.
 type Config struct {
 	// Name overrides the reported predictor name.
 	Name string
@@ -67,7 +72,7 @@ func TagWidths(n int) []int {
 	}
 	out := make([]int, n)
 	for i := range out {
-		w := 7 + (9*i)/maxInt(n-1, 1)
+		w := 7 + (9*i)/max(n-1, 1)
 		if w > 15 {
 			w = 15
 		}
@@ -170,13 +175,6 @@ func log2i(w float64) int {
 	default:
 		return 0
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Conventional returns an ISL-TAGE configuration with n tagged tables
