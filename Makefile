@@ -144,10 +144,12 @@ xray-smoke:
 
 # Go microbenchmarks: root package, engine/telemetry overhead, and the
 # hot-path kernels (fold pipelines / fold sets, recency-stack CAM,
-# fused dot-product, and the three flagship cores' probe paths).
+# fused dot-product, the three flagship cores' probe paths, and the
+# OH-SNAP baseline's scalar and fused steps).
 BENCHTIME ?= 1s
 
 microbench:
 	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) . ./internal/sim \
 		./internal/history ./internal/rs ./internal/dotp \
-		./internal/core/bftage ./internal/core/bfneural ./internal/core/bfgehl
+		./internal/core/bftage ./internal/core/bfneural ./internal/core/bfgehl \
+		./internal/predictor/ohsnap

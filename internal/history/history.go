@@ -6,7 +6,10 @@
 // a compact path-history register.
 package history
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Entry is one committed branch as seen by the history structures.
 type Entry struct {
@@ -164,9 +167,43 @@ func (r *Ring) PCAt(depth int) uint32 {
 // populated (len(dst) <= Len()); it is the bulk form of PCAt for hot
 // loops that consume a dense recent-history prefix.
 func (r *Ring) FillRecentPCs(dst []uint32) {
-	h, m := r.head, r.mask
-	for i := range dst {
-		dst[i] = r.pcs[(h-i)&m]
+	// Depths 1.. walk the slots down from head, then wrap to the top.
+	src := r.pcs[:r.head+1]
+	for len(dst) > 0 {
+		n := min(len(dst), len(src))
+		for i, j := 0, len(src)-1; i < n; i, j = i+1, j-1 {
+			dst[i] = src[j]
+		}
+		dst, src = dst[n:], r.pcs
+	}
+}
+
+// FillRecentTaken writes the packed outcome bits of the 64*len(dst) most
+// recent branches into dst, in the RecentTaken layout extended past 64:
+// bit j of dst[k] is the outcome at depth 64k+j+1. Depths beyond Len()
+// read as zero.
+func (r *Ring) FillRecentTaken(dst []uint64) {
+	w := r.takenW
+	if len(r.pcs) < 64 {
+		// The slots do not fill a word: gather them bit by bit.
+		clear(dst)
+		for d := 0; d < r.size && len(dst) > 0; d++ {
+			if slotBit(w, (r.head-d)&r.mask) {
+				dst[0] |= 1 << uint(d)
+			}
+		}
+		return
+	}
+	for k := range dst {
+		// Slots lo .. lo+63 hold depths 64k+64 .. 64k+1: read them as
+		// one word (spanning two when unaligned) and reverse it.
+		lo := (r.head - 64*k - 63) & r.mask
+		i, sh := lo>>6, uint(lo&63)
+		v := w[i] >> sh
+		if sh != 0 {
+			v |= w[(i+1)%len(w)] << (64 - sh)
+		}
+		dst[k] = bits.Reverse64(v) & lowMask(r.size-64*k)
 	}
 }
 

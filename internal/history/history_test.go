@@ -48,6 +48,33 @@ func TestRingWraps(t *testing.T) {
 	}
 }
 
+// TestRingBulkFills checks FillRecentPCs and FillRecentTaken against At
+// at every depth, for rings smaller and larger than one packed word,
+// through wrap-around and past the populated depth.
+func TestRingBulkFills(t *testing.T) {
+	g := rng.New(7)
+	for _, c := range []int{4, 32, 64, 128, 256} {
+		r := NewRing(c)
+		pcs := make([]uint32, c)
+		taken := make([]uint64, 3)
+		for i := 0; i < 3*c+5; i++ {
+			r.Push(Entry{HashedPC: uint32(g.Uint64()), Taken: g.Bool(0.5)})
+			r.FillRecentPCs(pcs[:r.Len()])
+			r.FillRecentTaken(taken)
+			for d := 1; d <= 64*len(taken); d++ {
+				e, ok := r.At(d)
+				bit := taken[(d-1)/64]>>uint((d-1)%64)&1 != 0
+				if bit != (ok && e.Taken) {
+					t.Fatalf("cap %d push %d depth %d: packed bit %v, At (%v, %v)", c, i, d, bit, e.Taken, ok)
+				}
+				if ok && pcs[d-1] != e.HashedPC {
+					t.Fatalf("cap %d push %d depth %d: filled pc %d, At %d", c, i, d, pcs[d-1], e.HashedPC)
+				}
+			}
+		}
+	}
+}
+
 func TestRingCapacityPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {

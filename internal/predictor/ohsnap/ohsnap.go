@@ -22,6 +22,7 @@ import (
 	"bfbp/internal/history"
 	"bfbp/internal/rng"
 	"bfbp/internal/sim"
+	"bfbp/internal/trace"
 )
 
 // Segment sizes one ragged block of history positions.
@@ -67,6 +68,9 @@ const (
 	coeffMax   = 480
 )
 
+// checkpoint captures what a prediction read, so its update trains
+// exactly those weights (correct under delayed update). idxs and dirs
+// hold one entry per history position.
 type checkpoint struct {
 	pc   uint64
 	sum  int32
@@ -80,18 +84,32 @@ type Predictor struct {
 	hlen     int
 	segStart []int   // first position of each segment
 	segBase  []int32 // offset of each segment's table in weights
-	segMask  []uint64
+	// posBase / posMask resolve history position i to its table row
+	// base (segment offset plus the position's row block) and row mask,
+	// so compute never walks the segment list.
+	posBase  []int32
+	posMask  []uint64
 	weights  []int8
 	bias     []int8
 	biasMask uint64
 	coeff    []int32
 
-	ring    *history.Ring
-	theta   int32
-	tc      int32
-	pending []checkpoint
-	idxBuf  []int32
-	dirBuf  []bool
+	ring  *history.Ring
+	theta int32
+	tc    int32
+	// pending is an in-order FIFO of in-flight checkpoints: live entries
+	// are pending[pendStart:], compacted lazily so steady state never
+	// reallocates. free recycles retired checkpoints' idxs/dirs slices.
+	pending   []checkpoint
+	pendStart int
+	free      []checkpoint
+	// scratch is the checkpoint for lookups consumed on the spot (the
+	// fused batch step, Update without a matching prediction, Explain
+	// of a branch not in flight); pcs and taken are compute's gathers
+	// of the recent hashed PCs and packed outcome bits.
+	scratch checkpoint
+	pcs     []uint32
+	taken   []uint64
 }
 
 // New returns a predictor for the given configuration.
@@ -114,11 +132,17 @@ func New(cfg Config) *Predictor {
 		}
 		p.segStart = append(p.segStart, pos)
 		p.segBase = append(p.segBase, total)
-		p.segMask = append(p.segMask, uint64(s.Rows-1))
+		for i := 0; i < s.Positions; i++ {
+			p.posBase = append(p.posBase, total+int32(i*s.Rows))
+			p.posMask = append(p.posMask, uint64(s.Rows-1))
+		}
 		total += int32(s.Rows * s.Positions)
 		pos += s.Positions
 	}
 	p.hlen = pos
+	p.scratch = p.newCheckpoint(0)
+	p.pcs = make([]uint32, p.hlen)
+	p.taken = make([]uint64, (p.hlen+63)/64)
 	p.weights = make([]int8, total)
 	p.bias = make([]int8, cfg.BiasEntries)
 	p.coeff = make([]int32, p.hlen)
@@ -148,78 +172,112 @@ func (p *Predictor) Name() string {
 	return "oh-snap"
 }
 
-// segOf returns the segment index of history position i (0-based).
-func (p *Predictor) segOf(i int) int {
-	s := 0
-	for s+1 < len(p.segStart) && i >= p.segStart[s+1] {
-		s++
+// newCheckpoint returns a checkpoint for pc with hlen-long idxs/dirs,
+// reusing a retired checkpoint's slices when one is free.
+func (p *Predictor) newCheckpoint(pc uint64) checkpoint {
+	if k := len(p.free); k > 0 {
+		cp := p.free[k-1]
+		p.free = p.free[:k-1]
+		cp.pc = pc
+		return cp
 	}
-	return s
+	return checkpoint{pc: pc, idxs: make([]int32, p.hlen), dirs: make([]bool, p.hlen)}
 }
 
-func (p *Predictor) compute(pc uint64) int32 {
-	if cap(p.idxBuf) < p.hlen {
-		p.idxBuf = make([]int32, p.hlen)
-		p.dirBuf = make([]bool, p.hlen)
-	}
-	p.idxBuf = p.idxBuf[:p.hlen]
-	p.dirBuf = p.dirBuf[:p.hlen]
+// compute is the adder tree: it fills cp.idxs/cp.dirs from the current
+// history and sets cp.sum, the coefficient-scaled weighted sum. Every
+// prediction, fresh lookup and explanation goes through it.
+func (p *Predictor) compute(cp *checkpoint) {
+	pc := cp.pc
 	sum := int32(p.bias[(pc>>2)&p.biasMask]) * coeffInit >> coeffShift
 	pch := rng.Hash64(pc >> 2)
-	seg := 0
-	segPositions := 0
-	for i := 0; i < p.hlen; i++ {
-		if seg+1 < len(p.segStart) && i >= p.segStart[seg+1] {
-			seg++
-		}
-		segPositions = i - p.segStart[seg]
-		e, ok := p.ring.At(i + 1)
-		if !ok {
-			p.idxBuf[i] = -1
-			continue
-		}
-		row := rng.Hash64(pch^uint64(e.HashedPC)<<1) & p.segMask[seg]
-		idx := p.segBase[seg] + int32(segPositions)*int32(p.segMask[seg]+1) + int32(row)
-		p.idxBuf[i] = idx
-		p.dirBuf[i] = e.Taken
-		w := int32(p.weights[idx])
-		contrib := w * p.coeff[i] >> coeffShift
-		if e.Taken {
-			sum += contrib
-		} else {
-			sum -= contrib
-		}
+	n := min(p.ring.Len(), p.hlen)
+	pcs, idxs, dirs := p.pcs[:n], cp.idxs[:n], cp.dirs[:n]
+	p.ring.FillRecentPCs(pcs)
+	p.ring.FillRecentTaken(p.taken)
+	base, mask, coeff := p.posBase[:n], p.posMask[:n], p.coeff[:n]
+	weights, taken := p.weights, p.taken
+	for i, h := range pcs {
+		idx := base[i] + int32(rng.Hash64(pch^uint64(h)<<1)&mask[i])
+		idxs[i] = idx
+		t := int32(taken[i>>6]>>uint(i&63)) & 1
+		dirs[i] = t != 0
+		// m is 0 for a taken history bit and -1 for a not-taken one, so
+		// (c^m)-m adds c or -c without a branch.
+		m := t - 1
+		c := int32(weights[idx]) * coeff[i] >> coeffShift
+		sum += (c ^ m) - m
 	}
-	return sum
+	for i := n; i < p.hlen; i++ {
+		cp.idxs[i] = -1
+	}
+	cp.sum = sum
 }
 
 // Predict implements sim.Predictor.
 func (p *Predictor) Predict(pc uint64) bool {
-	sum := p.compute(pc)
-	cp := checkpoint{pc: pc, sum: sum}
-	cp.idxs = append(cp.idxs, p.idxBuf...)
-	cp.dirs = append(cp.dirs, p.dirBuf...)
+	cp := p.newCheckpoint(pc)
+	p.compute(&cp)
+	// Compact the FIFO's popped prefix before append would grow it.
+	if len(p.pending) == cap(p.pending) && p.pendStart > 0 {
+		n := copy(p.pending, p.pending[p.pendStart:])
+		p.pending = p.pending[:n]
+		p.pendStart = 0
+	}
 	p.pending = append(p.pending, cp)
-	return sum >= 0
+	return cp.sum >= 0
 }
 
 // Update implements sim.Predictor.
 func (p *Predictor) Update(pc uint64, taken bool, target uint64) {
-	var cp checkpoint
-	if len(p.pending) > 0 && p.pending[0].pc == pc {
-		cp = p.pending[0]
-		p.pending = p.pending[1:]
-	} else {
-		sum := p.compute(pc)
-		cp = checkpoint{pc: pc, sum: sum}
-		cp.idxs = append(cp.idxs, p.idxBuf...)
-		cp.dirs = append(cp.dirs, p.dirBuf...)
+	if p.pendStart < len(p.pending) && p.pending[p.pendStart].pc == pc {
+		cp := p.pending[p.pendStart]
+		p.pendStart++
+		if p.pendStart == len(p.pending) {
+			p.pending = p.pending[:0]
+			p.pendStart = 0
+		}
+		p.retire(&cp, taken)
+		p.free = append(p.free, cp)
+		return
 	}
-	p.train(cp, taken)
-	p.ring.Push(history.Entry{HashedPC: uint32(rng.Hash64(pc >> 2)), Taken: taken})
+	p.scratch.pc = pc
+	p.compute(&p.scratch)
+	p.retire(&p.scratch, taken)
 }
 
-func (p *Predictor) train(cp checkpoint, taken bool) {
+// retire trains cp with the resolved outcome and pushes the branch into
+// the history.
+func (p *Predictor) retire(cp *checkpoint, taken bool) {
+	p.train(cp, taken)
+	p.ring.Push(history.Entry{HashedPC: uint32(rng.Hash64(cp.pc >> 2)), Taken: taken})
+}
+
+// SimulateBatch implements sim.BatchSimulator: each record runs a fused
+// compute, decide, train and history push on the scratch checkpoint,
+// bit-exact with Predict+Update per record. Falls back to the canonical
+// pair while checkpoints are in flight (a delayed-update queue drained
+// mid-run), since Update would then train the oldest of them.
+func (p *Predictor) SimulateBatch(recs []trace.Record, preds []bool) {
+	if p.pendStart < len(p.pending) {
+		for i := range recs {
+			preds[i] = p.Predict(recs[i].PC)
+			p.Update(recs[i].PC, recs[i].Taken, recs[i].Target)
+		}
+		return
+	}
+	cp := &p.scratch
+	for i := range recs {
+		cp.pc = recs[i].PC
+		p.compute(cp)
+		preds[i] = cp.sum >= 0
+		p.retire(cp, recs[i].Taken)
+	}
+}
+
+// train applies the perceptron rule to the weights cp read, in position
+// order: coefficient adaptation reads each weight just after its update.
+func (p *Predictor) train(cp *checkpoint, taken bool) {
 	pred := cp.sum >= 0
 	mispred := pred != taken
 	mag := cp.sum
@@ -297,19 +355,17 @@ const explainTopWeights = 8
 // bias weight, position i the i-th most recent branch; each contribution
 // is the coefficient-scaled weight the sum actually used).
 func (p *Predictor) Explain(pc uint64) sim.Provenance {
-	var cp checkpoint
-	found := false
-	for j := len(p.pending) - 1; j >= 0; j-- {
+	var cp *checkpoint
+	for j := len(p.pending) - 1; j >= p.pendStart; j-- {
 		if p.pending[j].pc == pc {
-			cp = p.pending[j]
-			found = true
+			cp = &p.pending[j]
 			break
 		}
 	}
-	if !found {
-		cp = checkpoint{pc: pc, sum: p.compute(pc)}
-		cp.idxs = append(cp.idxs, p.idxBuf...)
-		cp.dirs = append(cp.dirs, p.dirBuf...)
+	if cp == nil {
+		cp = &p.scratch
+		cp.pc = pc
+		p.compute(cp)
 	}
 	ws := make([]sim.WeightContrib, 0, len(cp.idxs)+1)
 	ws = append(ws, sim.WeightContrib{
@@ -391,6 +447,7 @@ func (p *Predictor) ProbeState() sim.TableStats {
 
 var (
 	_ sim.Predictor        = (*Predictor)(nil)
+	_ sim.BatchSimulator   = (*Predictor)(nil)
 	_ sim.StorageAccounter = (*Predictor)(nil)
 	_ sim.Explainer        = (*Predictor)(nil)
 	_ sim.StateProbe       = (*Predictor)(nil)

@@ -1,7 +1,7 @@
 // Snapshot support (bfbp.state.v1). Mutable state: the ragged weight
 // tables, bias weights, the dynamically adapted scaling coefficients,
-// the history ring, and the adaptive threshold. The checkpoint FIFO and
-// index scratch buffers are transient.
+// the history ring, and the adaptive threshold. The checkpoint FIFO, its
+// slice pool and the scratch checkpoint are transient.
 
 package ohsnap
 
@@ -29,7 +29,7 @@ func (p *Predictor) configHash() uint64 {
 
 // SaveState implements sim.Snapshotter.
 func (p *Predictor) SaveState(w io.Writer) error {
-	if len(p.pending) != 0 {
+	if p.pendStart < len(p.pending) {
 		return errors.New("ohsnap: cannot snapshot with in-flight predictions")
 	}
 	s := state.New(p.Name(), p.configHash())
@@ -88,6 +88,21 @@ func (p *Predictor) LoadState(r io.Reader) error {
 			return fmt.Errorf("%w: coefficient %d is %d, outside [%d, %d]", state.ErrCorrupt, i, c, coeffMin, coeffMax)
 		}
 	}
+	m, err := s.Dec("misc")
+	if err != nil {
+		return err
+	}
+	theta, tc := m.I32(), m.I32()
+	if err := m.Err(); err != nil {
+		return err
+	}
+	// train keeps theta >= 1 and resets tc on reaching +-64.
+	if theta < 1 {
+		return fmt.Errorf("%w: threshold %d is below 1", state.ErrCorrupt, theta)
+	}
+	if tc < -63 || tc > 63 {
+		return fmt.Errorf("%w: threshold counter %d is outside [-63, 63]", state.ErrCorrupt, tc)
+	}
 	hd, err := s.Dec("history")
 	if err != nil {
 		return err
@@ -95,19 +110,11 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	if err := p.ring.LoadState(hd); err != nil {
 		return err
 	}
-	m, err := s.Dec("misc")
-	if err != nil {
-		return err
-	}
-	p.theta = m.I32()
-	p.tc = m.I32()
-	if err := m.Err(); err != nil {
-		return err
-	}
 	copy(p.weights, weights)
 	copy(p.bias, bias)
 	copy(p.coeff, coeff)
-	p.pending = p.pending[:0]
+	p.theta, p.tc = theta, tc
+	p.pending, p.pendStart = p.pending[:0], 0
 	return nil
 }
 

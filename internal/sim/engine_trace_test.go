@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,8 +32,9 @@ type traceDoc struct {
 func TestEngineTraceJournalCorrelation(t *testing.T) {
 	var traceBuf, journalBuf strings.Builder
 	tr := obs.NewTracer(&traceBuf)
-	var tick time.Duration
-	tr.Clock = func() time.Duration { tick += 10 * time.Microsecond; return tick }
+	// Both engine workers read the clock, so the fake one is atomic.
+	var tick atomic.Int64
+	tr.Clock = func() time.Duration { return time.Duration(tick.Add(int64(10 * time.Microsecond))) }
 	j := obs.NewJournal(&journalBuf)
 	j.Clock = func() time.Time { return time.Unix(0, 0).UTC() }
 
