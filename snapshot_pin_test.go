@@ -9,7 +9,7 @@ import (
 )
 
 // pinnedSnapshots are the SHA-256 digests of the bfbp.state.v1 images the
-// TAGE-family and OH-SNAP predictors write after the fixed SPEC07
+// TAGE-family, OH-SNAP and BF-GEHL predictors write after the fixed SPEC07
 // 3000-branch run.
 // TestSnapshotByteStable only checks save→load→save within one build;
 // these pins check across builds, so a snapshot written by an older
@@ -24,6 +24,7 @@ var pinnedSnapshots = map[string]string{
 	"bf-isl-tage-10": "36d67782f6f6c3d3c10d4e8094f2cb713ecf18f5f6325324a34279a31d54ae9d",
 	"bf-tage-4":      "fc3d2105a710c0c5a76d40c88e09772fcdf5d4ec4edd07030cbc3aba8915bf54",
 	"oh-snap":        "3198dc5a7cd7502f46a37dbe79287ca9ae09375aa6ffb449d3a063aec73e2947",
+	"bf-gehl":        "b0ca44d8356b274df06ec8cd3caffcd481a89152ea94af795be26bda2548c692",
 }
 
 func TestSnapshotBytesPinned(t *testing.T) {
