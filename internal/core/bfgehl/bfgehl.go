@@ -79,18 +79,11 @@ type Predictor struct {
 	pendStart int
 	cpFree    []checkpoint
 	idxBuf    []uint32
-	// ghrVec / pcsVec hold the packed BF-GHR, rebuilt per reference
-	// lookup (the retained scalar path; differential tests pin the
-	// pipeline path to it). pcsVec is built but unused by the hash.
-	ghrVec history.BitVec
-	pcsVec history.BitVec
 	// pipe maintains one folded register per history-indexed table over
-	// the BF-GHR, updated by XOR deltas as the segments mutate instead of
-	// re-derived with buildGHR + FoldWords per lookup; regs maps table ->
-	// register id (table 0 is PC-indexed and has none), folds is FoldAll
-	// scratch.
+	// the BF-GHR, updated by XOR deltas as the segments mutate; table
+	// i >= 1 owns register i-1 (table 0 is PC-indexed and has none).
+	// folds is FoldAll scratch.
 	pipe  *history.FoldPipeline
-	regs  []int
 	folds []uint64
 }
 
@@ -130,25 +123,16 @@ func New(cfg Config) *Predictor {
 	} else {
 		p.hists = append([]int{0}, history.GeometricRange(2, ghrBits, cfg.Tables-1)...)
 	}
+	regs := make([]history.Register, 0, cfg.Tables-1)
 	for _, h := range p.hists[1:] {
 		if h > ghrBits {
 			panic("bfgehl: history length exceeds BF-GHR width")
 		}
+		regs = append(regs, history.Register{N: h, W: cfg.LogEntries})
 	}
-	// Configs whose geometry the fold pipeline cannot pack (SegSize
-	// sweeps in ablations) keep the scalar reference fold path; compute
-	// falls back when pipe is nil.
-	if history.PipelineOK(cfg.SegSize, cfg.LogEntries) {
-		p.pipe = history.NewFoldPipeline(cfg.UnfilteredBits, cfg.SegSize, p.seg.Segments())
-		p.regs = make([]int, cfg.Tables)
-		for i := 1; i < cfg.Tables; i++ {
-			p.regs[i] = p.pipe.AddRegister(p.hists[i], cfg.LogEntries)
-		}
-		p.folds = make([]uint64, p.pipe.NumRegisters())
-		p.seg.SetPackObserver(func(seg int, dT, dP uint64) {
-			p.pipe.SegmentDelta2(seg, dT, dP)
-		})
-	}
+	p.pipe = history.NewFoldPipeline(cfg.UnfilteredBits, cfg.SegSize, p.seg.Segments(), regs)
+	p.folds = make([]uint64, len(regs))
+	p.seg.SetPackObserver(p.pipe.SegmentDelta2)
 	return p
 }
 
@@ -162,15 +146,6 @@ func (p *Predictor) Name() string {
 
 // GHRBits returns the BF-GHR width.
 func (p *Predictor) GHRBits() int { return p.cfg.UnfilteredBits + p.seg.Bits() }
-
-// buildGHR assembles the packed BF-GHR: the unfiltered prefix is one
-// masked word off the ring, each segment contributes one packed word.
-func (p *Predictor) buildGHR() {
-	p.ghrVec.Reset()
-	p.pcsVec.Reset()
-	p.ghrVec.Append(p.seg.Ring().RecentTaken(p.cfg.UnfilteredBits), p.cfg.UnfilteredBits)
-	p.seg.AppendPacked(&p.ghrVec, &p.pcsVec)
-}
 
 // newCheckpoint builds a checkpoint, reusing a retired one's idx slice.
 func (p *Predictor) newCheckpoint(pc uint64, sum int32) checkpoint {
@@ -195,12 +170,9 @@ func (p *Predictor) putCheckpoint(cp *checkpoint) {
 // compute evaluates the adder-tree sum for pc, filling idxBuf with each
 // table's index. Per-table folds come from the fold pipeline (register
 // tails XORed with the folded unfiltered prefix) — no BF-GHR rebuild,
-// no FoldWords walk. It produces exactly the indices of computeRef
-// (asserted by TestComputeDifferential).
+// no FoldWords walk. It produces exactly the indices of the scalar
+// reference model computeRef (asserted by TestComputeDifferential).
 func (p *Predictor) compute(pc uint64) int32 {
-	if p.pipe == nil {
-		return p.computeRef(pc)
-	}
 	if cap(p.idxBuf) < len(p.tables) {
 		p.idxBuf = make([]uint32, len(p.tables))
 	}
@@ -208,43 +180,17 @@ func (p *Predictor) compute(pc uint64) int32 {
 	uT := p.seg.Ring().RecentTaken(p.cfg.UnfilteredBits)
 	p.pipe.FoldAll(uT, p.folds)
 	pch := rng.Hash64(pc >> 2)
-	idxBuf, folds, regs := p.idxBuf, p.folds, p.regs
+	idxBuf, folds := p.idxBuf, p.folds
 	var sum int32
 	for i := range p.tables {
 		var key uint64
 		if i == 0 {
 			key = pch
 		} else {
-			key = pch ^ folds[regs[i]]<<3 ^ uint64(i)<<57
+			key = pch ^ folds[i-1]<<3 ^ uint64(i)<<57
 		}
 		idx := uint32(rng.Hash64(key) & p.mask)
 		idxBuf[i] = idx
-		sum += 2*int32(p.tables[i][idx]) + 1
-	}
-	return sum
-}
-
-// computeRef is the retained scalar reference model: rebuild the packed
-// BF-GHR and re-fold it per table with FoldWords. Differential tests pin
-// compute to this path bit for bit.
-func (p *Predictor) computeRef(pc uint64) int32 {
-	if cap(p.idxBuf) < len(p.tables) {
-		p.idxBuf = make([]uint32, len(p.tables))
-	}
-	p.idxBuf = p.idxBuf[:len(p.tables)]
-	p.buildGHR()
-	bits := p.ghrVec.Words()
-	pch := rng.Hash64(pc >> 2)
-	var sum int32
-	for i := range p.tables {
-		var key uint64
-		if i == 0 {
-			key = pch
-		} else {
-			key = pch ^ history.FoldWords(bits, p.hists[i], p.cfg.LogEntries)<<3 ^ uint64(i)<<57
-		}
-		idx := uint32(rng.Hash64(key) & p.mask)
-		p.idxBuf[i] = idx
 		sum += 2*int32(p.tables[i][idx]) + 1
 	}
 	return sum

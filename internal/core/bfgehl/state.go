@@ -1,7 +1,8 @@
 // Snapshot support (bfbp.state.v1). Mutable state: the weight tables,
 // the BST, the segmented recency stacks (which carry the unfiltered
 // history ring), and the adaptive threshold. The in-flight checkpoint
-// FIFO, its free list, and the BF-GHR scratch vectors are transient.
+// FIFO and its free list are transient; the fold pipeline is derived
+// state, rebuilt on load.
 
 package bfgehl
 
@@ -77,6 +78,24 @@ func (p *Predictor) LoadState(r io.Reader) error {
 		if len(fresh[i]) != len(p.tables[i]) {
 			return fmt.Errorf("%w: table %d has %d entries, snapshot %d", state.ErrCorrupt, i, len(p.tables[i]), len(fresh[i]))
 		}
+		for j, w := range fresh[i] {
+			if w < p.wMin || w > p.wMax {
+				return fmt.Errorf("%w: table %d weight %d = %d outside [%d, %d]", state.ErrCorrupt, i, j, w, p.wMin, p.wMax)
+			}
+		}
+	}
+	// Validate the threshold before touching the BST or the history:
+	// commit and adaptTheta keep theta >= 1 and |tc| < 32.
+	m, err := s.Dec("misc")
+	if err != nil {
+		return err
+	}
+	theta, tc := m.I32(), m.I32()
+	if err := m.Err(); err != nil {
+		return err
+	}
+	if theta < 1 || tc < -31 || tc > 31 {
+		return fmt.Errorf("%w: theta %d / tc %d out of range", state.ErrCorrupt, theta, tc)
 	}
 	cd, err := s.Dec("bst")
 	if err != nil {
@@ -95,22 +114,12 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	// The fold pipeline is derived state: rebuild its register tails
 	// from the restored segments' packed words (LoadState reset them, so
 	// feeding the absolute words through the delta path reconstructs).
-	if p.pipe != nil {
-		p.pipe.Reset()
-		for i := 0; i < p.seg.Segments(); i++ {
-			tw, pw := p.seg.PackedWords(i)
-			p.pipe.SegmentDelta2(i, tw, pw)
-		}
+	p.pipe.Reset()
+	for i := 0; i < p.seg.Segments(); i++ {
+		tw, pw := p.seg.PackedWords(i)
+		p.pipe.SegmentDelta2(i, tw, pw)
 	}
-	m, err := s.Dec("misc")
-	if err != nil {
-		return err
-	}
-	p.theta = m.I32()
-	p.tc = m.I32()
-	if err := m.Err(); err != nil {
-		return err
-	}
+	p.theta, p.tc = theta, tc
 	for i := range p.tables {
 		copy(p.tables[i], fresh[i])
 	}

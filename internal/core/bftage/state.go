@@ -1,8 +1,8 @@
 // Snapshot support (bfbp.state.v1). The kernel writes the shared TAGE
 // sections (tage.Kernel.SaveSnapshot); BF-TAGE adds the Branch Status
 // Table and the segmented recency stacks (which carry the unfiltered
-// history ring) with the path register. The fold pipeline and the BF-GHR
-// scratch vectors are derived state, rebuilt on load.
+// history ring) with the path register. The fold pipeline is derived
+// state, rebuilt on load.
 
 package bftage
 
@@ -74,12 +74,10 @@ func (p *Predictor) LoadState(r io.Reader) error {
 		// from the restored segments' packed words (LoadState reset them,
 		// so feeding the absolute words through the delta path
 		// reconstructs).
-		if p.pipe != nil {
-			p.pipe.Reset()
-			for i := 0; i < p.seg.Segments(); i++ {
-				tw, pw := p.seg.PackedWords(i)
-				p.pipe.SegmentDelta2(i, tw, pw)
-			}
+		p.pipe.Reset()
+		for i := 0; i < p.seg.Segments(); i++ {
+			tw, pw := p.seg.PackedWords(i)
+			p.pipe.SegmentDelta2(i, tw, pw)
 		}
 		return p.path.LoadState(hs)
 	})

@@ -2,38 +2,46 @@ package history
 
 import "testing"
 
-// tageShapedPipeline builds a pipeline with the register family of the
-// flagship bf-tage-10 geometry: per table, index / tag / tag-1 folds on
-// channel 0 and an address fold on channel 1.
-func tageShapedPipeline() *FoldPipeline {
+// tageShapedRegisters is the register family of the flagship bf-tage-10
+// geometry: per table, index / tag / tag-1 folds on channel 0 and an
+// address fold on channel 1.
+func tageShapedRegisters() []Register {
 	hist := []int{3, 8, 14, 26, 40, 54, 70, 94, 118, 142}
 	logE := []int{11, 11, 11, 12, 12, 12, 11, 11, 10, 10}
 	tagB := []int{7, 7, 8, 9, 10, 11, 11, 13, 14, 15}
-	p := NewFoldPipeline(16, 8, 16)
+	var regs []Register
 	for i := range hist {
-		p.AddRegisterCh(0, hist[i], logE[i])
-		p.AddRegisterCh(0, hist[i], tagB[i])
-		p.AddRegisterCh(0, hist[i], maxI(tagB[i]-1, 1))
-		p.AddRegisterCh(1, hist[i], maxI(logE[i]-1, 1))
+		regs = append(regs,
+			Register{Ch: 0, N: hist[i], W: logE[i]},
+			Register{Ch: 0, N: hist[i], W: tagB[i]},
+			Register{Ch: 0, N: hist[i], W: max(tagB[i]-1, 1)},
+			Register{Ch: 1, N: hist[i], W: max(logE[i]-1, 1)})
 	}
-	return p
+	return regs
 }
 
-func maxI(a, b int) int {
-	if a > b {
-		return a
+// pipeSink keeps benchmarked constructions live.
+var pipeSink *FoldPipeline
+
+// BenchmarkNewFoldPipeline measures building the bf-tage-10 pipeline,
+// cover table included.
+func BenchmarkNewFoldPipeline(b *testing.B) {
+	regs := tageShapedRegisters()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pipeSink = NewFoldPipeline(16, 8, 16, regs)
 	}
-	return b
 }
 
 // BenchmarkFoldAll2 measures the bulk per-prediction fold of every
-// register from the maintained region words.
+// register from the maintained region folds.
 func BenchmarkFoldAll2(b *testing.B) {
-	p := tageShapedPipeline()
+	regs := tageShapedRegisters()
+	p := NewFoldPipeline(16, 8, 16, regs)
 	for s := 0; s < 16; s++ {
 		p.SegmentDelta2(s, uint64(s)*0x5D, uint64(s)*0xA3&0xFF)
 	}
-	out := make([]uint64, p.NumRegisters())
+	out := make([]uint64, len(regs))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.FoldAll2(uint64(i)*0x9E3779B97F4A7C15, uint64(i)*0xC2B2AE3D27D4EB4F, out)
@@ -43,7 +51,7 @@ func BenchmarkFoldAll2(b *testing.B) {
 
 // BenchmarkSegmentDelta2 measures the per-mutation maintenance cost.
 func BenchmarkSegmentDelta2(b *testing.B) {
-	p := tageShapedPipeline()
+	p := NewFoldPipeline(16, 8, 16, tageShapedRegisters())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.SegmentDelta2(i&15, uint64(i)|1, uint64(i>>4)&0xFF)
@@ -54,20 +62,15 @@ func BenchmarkSegmentDelta2(b *testing.B) {
 // rebuilt 144-bit vector with FoldWords — the scalar reference path the
 // pipeline replaced.
 func BenchmarkFoldWordsReference(b *testing.B) {
-	hist := []int{3, 8, 14, 26, 40, 54, 70, 94, 118, 142}
-	logE := []int{11, 11, 11, 12, 12, 12, 11, 11, 10, 10}
-	tagB := []int{7, 7, 8, 9, 10, 11, 11, 13, 14, 15}
+	regs := tageShapedRegisters()
 	words := []uint64{0x0123456789ABCDEF, 0xFEDCBA9876543210, 0xFFFF}
-	out := make([]uint64, 0, 40)
+	out := make([]uint64, 0, len(regs))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		words[0] ^= uint64(i)
 		out = out[:0]
-		for t := range hist {
-			out = append(out, FoldWords(words, hist[t], logE[t]))
-			out = append(out, FoldWords(words, hist[t], tagB[t]))
-			out = append(out, FoldWords(words, hist[t], maxI(tagB[t]-1, 1)))
-			out = append(out, FoldWords(words, hist[t], maxI(logE[t]-1, 1)))
+		for _, r := range regs {
+			out = append(out, FoldWords(words, r.N, r.W))
 		}
 	}
 	_ = out

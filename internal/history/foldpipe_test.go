@@ -18,66 +18,63 @@ func composeVec(prefix uint64, prefixBits int, segs []uint64, segSize int) *BitV
 }
 
 // checkPipeline asserts every register agrees with the FoldWords
-// reference over the composite vector.
-func checkPipeline(t *testing.T, p *FoldPipeline, regs [][2]int, prefix uint64, segs []uint64, prefixBits, segSize int) {
+// reference over its channel's composite vector (prefix[ch] followed by
+// segs[ch]).
+func checkPipeline(t *testing.T, p *FoldPipeline, regs []Register, prefix [2]uint64, segs [2][]uint64, prefixBits, segSize int) {
 	t.Helper()
-	vec := composeVec(prefix, prefixBits, segs, segSize)
-	all := make([]uint64, p.NumRegisters())
-	p.FoldAll(prefix, all)
-	for id, nw := range regs {
-		want := FoldWords(vec.Words(), nw[0], nw[1])
-		got := p.Fold(id, prefix)
-		if got != want {
-			t.Fatalf("register %d (n=%d w=%d): pipeline fold %#x, FoldWords %#x", id, nw[0], nw[1], got, want)
-		}
-		if all[id] != want {
-			t.Fatalf("register %d (n=%d w=%d): FoldAll %#x, FoldWords %#x", id, nw[0], nw[1], all[id], want)
+	vecs := [2]*BitVec{
+		composeVec(prefix[0], prefixBits, segs[0], segSize),
+		composeVec(prefix[1], prefixBits, segs[1], segSize),
+	}
+	all := make([]uint64, len(regs))
+	p.FoldAll2(prefix[0], prefix[1], all)
+	for id, r := range regs {
+		if want := FoldWords(vecs[r.Ch].Words(), r.N, r.W); all[id] != want {
+			t.Fatalf("register %d (ch=%d n=%d w=%d): FoldAll2 %#x, FoldWords %#x", id, r.Ch, r.N, r.W, all[id], want)
 		}
 	}
 }
 
+// mutate replaces segment s's words on both channels with random values
+// of segSize bits, feeding the pipeline the XOR deltas.
+func mutate(r *rng.SplitMix64, p *FoldPipeline, segs [2][]uint64, s, segSize int) {
+	n0 := r.Uint64() & lowMask(segSize)
+	n1 := r.Uint64() & lowMask(segSize)
+	p.SegmentDelta2(s, segs[0][s]^n0, segs[1][s]^n1)
+	segs[0][s], segs[1][s] = n0, n1
+}
+
 // TestFoldPipelineEquivalence drives random segment mutations through
-// pipelines of random geometry and checks every register against
-// FoldWords after each step — the bit-exactness property BF-TAGE and
-// BF-GEHL rely on.
+// pipelines of random geometry — segment sizes and register widths up
+// to 64, registers on both channels — and checks every register against
+// FoldWords after each step, with distinct live prefixes per channel:
+// the bit-exactness property BF-TAGE and BF-GEHL rely on.
 func TestFoldPipelineEquivalence(t *testing.T) {
 	r := rng.New(0xF01D)
-	for trial := 0; trial < 50; trial++ {
-		prefixBits := r.Intn(33)  // 0..32
-		segSize := 1 + r.Intn(16) // 1..16
+	for trial := 0; trial < 200; trial++ {
+		prefixBits := r.Intn(65)  // 0..64
+		segSize := 1 + r.Intn(64) // 1..64
 		numSegs := 1 + r.Intn(20) // 1..20
 		total := prefixBits + numSegs*segSize
-		p := NewFoldPipeline(prefixBits, segSize, numSegs)
-		var regs [][2]int
+		var regs []Register
 		for i := 0; i < 1+r.Intn(8); i++ {
-			n := 1 + r.Intn(total)
-			maxW := 64 - segSize
-			if maxW > 40 {
-				maxW = 40
-			}
-			w := 1 + r.Intn(maxW)
-			p.AddRegister(n, w)
-			regs = append(regs, [2]int{n, w})
+			regs = append(regs, Register{Ch: r.Intn(2), N: 1 + r.Intn(total), W: 1 + r.Intn(64)})
 		}
-		segs := make([]uint64, numSegs)
-		var prefix uint64
+		p := NewFoldPipeline(prefixBits, segSize, numSegs, regs)
+		segs := [2][]uint64{make([]uint64, numSegs), make([]uint64, numSegs)}
 		for step := 0; step < 60; step++ {
-			// Mutate one segment word (the pipeline sees the XOR delta)
-			// and churn the prefix (the pipeline never sees it — Fold
-			// takes it live).
-			s := r.Intn(numSegs)
-			next := r.Uint64() & lowMask(segSize)
-			p.SegmentDelta(s, segs[s]^next)
-			segs[s] = next
-			prefix = r.Uint64()
-			checkPipeline(t, p, regs, prefix, segs, prefixBits, segSize)
+			// Mutate one segment on both channels (the pipeline sees the
+			// XOR deltas) and churn the prefixes (the pipeline never sees
+			// them — FoldAll2 takes them live).
+			mutate(r, p, segs, r.Intn(numSegs), segSize)
+			checkPipeline(t, p, regs, [2]uint64{r.Uint64(), r.Uint64()}, segs, prefixBits, segSize)
 		}
 	}
 }
 
 // TestFoldPipelineRebuild checks that Reset + feeding each segment's
-// absolute word reproduces the incrementally maintained state — the
-// snapshot-restore path.
+// absolute words reproduces the incrementally maintained register folds
+// — the snapshot-restore path.
 func TestFoldPipelineRebuild(t *testing.T) {
 	r := rng.New(0xF02D)
 	const (
@@ -85,62 +82,55 @@ func TestFoldPipelineRebuild(t *testing.T) {
 		segSize    = 8
 		numSegs    = 16
 	)
-	p := NewFoldPipeline(prefixBits, segSize, numSegs)
-	var regs [][2]int
+	var regs []Register
 	for _, nw := range [][2]int{{3, 10}, {8, 8}, {14, 13}, {26, 11}, {40, 12}, {70, 9}, {118, 14}, {142, 12}} {
-		p.AddRegister(nw[0], nw[1])
-		regs = append(regs, nw)
+		regs = append(regs, Register{Ch: 0, N: nw[0], W: nw[1]}, Register{Ch: 1, N: nw[0], W: nw[1] - 1})
 	}
-	segs := make([]uint64, numSegs)
+	p := NewFoldPipeline(prefixBits, segSize, numSegs, regs)
+	segs := [2][]uint64{make([]uint64, numSegs), make([]uint64, numSegs)}
 	for step := 0; step < 500; step++ {
-		s := r.Intn(numSegs)
-		next := r.Uint64() & lowMask(segSize)
-		p.SegmentDelta(s, segs[s]^next)
-		segs[s] = next
+		mutate(r, p, segs, r.Intn(numSegs), segSize)
 	}
-	incremental := append([]uint64(nil), p.words[0]...)
+	incremental := append([]uint64(nil), p.vals...)
 	p.Reset()
-	for s, w := range segs {
-		p.SegmentDelta(s, w)
+	for s := range segs[0] {
+		p.SegmentDelta2(s, segs[0][s], segs[1][s])
 	}
-	for i, word := range p.words[0] {
-		if word != incremental[i] {
-			t.Fatalf("region word %d: rebuilt %#x, incremental %#x", i, word, incremental[i])
+	for id, v := range p.vals {
+		if v != incremental[id] {
+			t.Fatalf("register %d: rebuilt fold %#x, incremental %#x", id, v, incremental[id])
 		}
 	}
-	checkPipeline(t, p, regs, r.Uint64(), segs, prefixBits, segSize)
+	checkPipeline(t, p, regs, [2]uint64{r.Uint64(), r.Uint64()}, segs, prefixBits, segSize)
 }
 
 // TestFoldPipelineShortRegisters pins registers that never reach the
 // segment region: their fold must be the pure prefix fold and segment
 // mutations must not disturb them.
 func TestFoldPipelineShortRegisters(t *testing.T) {
-	p := NewFoldPipeline(16, 8, 4)
-	short := p.AddRegister(10, 7)  // entirely inside the prefix
-	exact := p.AddRegister(16, 12) // exactly the prefix
-	long := p.AddRegister(17, 12)  // one bit into segment 0
-	p.SegmentDelta(0, 0xFF)
-	p.SegmentDelta(3, 0xFF)
+	const short, exact, long = 0, 1, 2
+	regs := []Register{
+		{N: 10, W: 7},  // entirely inside the prefix
+		{N: 16, W: 12}, // exactly the prefix
+		{N: 17, W: 12}, // one bit into segment 0
+	}
+	p := NewFoldPipeline(16, 8, 4, regs)
+	p.SegmentDelta2(0, 0xFF, 0)
+	p.SegmentDelta2(3, 0xFF, 0)
 	prefix := uint64(0xBEEF)
 	segs := []uint64{0xFF, 0, 0, 0xFF}
-	vec := composeVec(prefix, 16, segs, 8)
-	for _, tc := range []struct {
-		id, n, w int
-	}{{short, 10, 7}, {exact, 16, 12}, {long, 17, 12}} {
-		want := FoldWords(vec.Words(), tc.n, tc.w)
-		if got := p.Fold(tc.id, prefix); got != want {
-			t.Fatalf("register (n=%d w=%d): got %#x want %#x", tc.n, tc.w, got, want)
-		}
-	}
+	checkPipeline(t, p, regs, [2]uint64{prefix, prefix}, [2][]uint64{segs, make([]uint64, 4)}, 16, 8)
 	// Prefix-only registers must be a pure function of the prefix: with a
 	// zero prefix they fold to zero no matter what the segments hold.
-	if got := p.Fold(short, 0); got != 0 {
-		t.Fatalf("prefix-only register folded segment bits: %#x", got)
+	out := make([]uint64, len(regs))
+	p.FoldAll(0, out)
+	if out[short] != 0 {
+		t.Fatalf("prefix-only register folded segment bits: %#x", out[short])
 	}
-	if got := p.Fold(exact, 0); got != 0 {
-		t.Fatalf("prefix-exact register folded segment bits: %#x", got)
+	if out[exact] != 0 {
+		t.Fatalf("prefix-exact register folded segment bits: %#x", out[exact])
 	}
-	if got := p.Fold(long, 0); got == 0 {
+	if out[long] == 0 {
 		t.Fatal("segment-covering register ignored segment bits")
 	}
 }
@@ -149,18 +139,14 @@ func TestFoldPipelineShortRegisters(t *testing.T) {
 // size, where one segment word wraps multiple times around a register.
 func TestFoldPipelineNarrowWidths(t *testing.T) {
 	r := rng.New(0xF03D)
-	p := NewFoldPipeline(16, 8, 16)
-	var regs [][2]int
+	var regs []Register
 	for _, nw := range [][2]int{{144, 1}, {144, 2}, {144, 3}, {100, 5}, {77, 6}} {
-		p.AddRegister(nw[0], nw[1])
-		regs = append(regs, nw)
+		regs = append(regs, Register{Ch: 0, N: nw[0], W: nw[1]}, Register{Ch: 1, N: nw[0], W: nw[1]})
 	}
-	segs := make([]uint64, 16)
+	p := NewFoldPipeline(16, 8, 16, regs)
+	segs := [2][]uint64{make([]uint64, 16), make([]uint64, 16)}
 	for step := 0; step < 200; step++ {
-		s := r.Intn(16)
-		next := r.Uint64() & 0xFF
-		p.SegmentDelta(s, segs[s]^next)
-		segs[s] = next
-		checkPipeline(t, p, regs, r.Uint64(), segs, 16, 8)
+		mutate(r, p, segs, r.Intn(16), 8)
+		checkPipeline(t, p, regs, [2]uint64{r.Uint64(), r.Uint64()}, segs, 16, 8)
 	}
 }

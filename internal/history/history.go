@@ -339,14 +339,14 @@ func (v *BitVec) Bit(i int) bool {
 	return v.words[i>>6]>>(uint(i)&63)&1 != 0
 }
 
-// FoldWords folds the first n bits of a packed vector down to width bits,
-// producing exactly FoldBits(bits[:n], width): the XOR of consecutive
-// width-bit chunks. Bits at positions >= n must be zero (BitVec
+// FoldWords folds the first n bits of a packed vector down to width bits
+// (1..64), producing exactly FoldBits(bits[:n], width): the XOR of
+// consecutive width-bit chunks. Bits at positions >= n must be zero (BitVec
 // guarantees this). Each chunk costs a couple of shifts instead of a
 // per-bit loop, which is what removes the old fold from the BF-TAGE
 // profile.
 func FoldWords(words []uint64, n, width int) uint64 {
-	if width < 1 || width > 63 {
+	if width < 1 || width > 64 {
 		panic("history: fold width out of range")
 	}
 	var v uint64

@@ -73,6 +73,25 @@ func TestBitVecResetReuse(t *testing.T) {
 	}
 }
 
+// TestFoldWordsFullWidth pins the 64-bit fold (beyond FoldBits' range)
+// to its definition: the XOR of consecutive 64-bit chunks, i.e. bit i
+// lands at position i mod 64.
+func TestFoldWordsFullWidth(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 500; trial++ {
+		v, bits := buildBoth(rng, 1+rng.Intn(8))
+		var want uint64
+		for i, b := range bits {
+			if b {
+				want ^= 1 << uint(i%64)
+			}
+		}
+		if got := FoldWords(v.Words(), v.Len(), 64); got != want {
+			t.Fatalf("trial %d: FoldWords(n=%d, w=64) = %#x, want %#x", trial, v.Len(), got, want)
+		}
+	}
+}
+
 func TestFoldWordsMatchesFoldBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 2000; trial++ {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -278,7 +279,10 @@ func TestProbeDoesNotPerturbStats(t *testing.T) {
 // The acceptance bound is <5% suite wall time; this guard allows 50%
 // on a min-of-3 measurement purely to absorb CI noise — the real
 // comparison lives in BenchmarkHarnessTelemetry, where the off path is
-// a single nil test per branch.
+// a single nil test per branch. Under the race detector the probed/off
+// ratio itself drifts to ~1.2-1.5, so race builds instead require the
+// probed run to return exactly the unprobed run's Stats; the timing
+// bound is enforced by the ordinary (non-race) test run.
 func TestTelemetryOffOverheadGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -286,6 +290,20 @@ func TestTelemetryOffOverheadGuard(t *testing.T) {
 	s, ok := workload.ByName("SPEC01")
 	if !ok {
 		t.Fatal("SPEC01 missing")
+	}
+	if raceEnabled {
+		off, err := Run(&toyShare{}, s.Source(150_000).Open(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		probed, err := Run(&toyShare{}, s.Source(150_000).Open(), Options{Probe: NewEngineMetrics(obs.NewRegistry()).Probe()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(off, probed) {
+			t.Fatalf("probe perturbed stats: off %+v vs probed %+v", off, probed)
+		}
+		return
 	}
 	run := func(opt Options) time.Duration {
 		best := time.Duration(1<<63 - 1)
