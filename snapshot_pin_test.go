@@ -9,8 +9,8 @@ import (
 )
 
 // pinnedSnapshots are the SHA-256 digests of the bfbp.state.v1 images the
-// TAGE-family, OH-SNAP and BF-GEHL predictors write after the fixed SPEC07
-// 3000-branch run.
+// TAGE-family, OH-SNAP, BF-GEHL and BF-Neural predictors write after the
+// fixed SPEC07 3000-branch run.
 // TestSnapshotByteStable only checks save→load→save within one build;
 // these pins check across builds, so a snapshot written by an older
 // build still loads into a newer one. A payload change must change the
@@ -25,6 +25,7 @@ var pinnedSnapshots = map[string]string{
 	"bf-tage-4":      "fc3d2105a710c0c5a76d40c88e09772fcdf5d4ec4edd07030cbc3aba8915bf54",
 	"oh-snap":        "3198dc5a7cd7502f46a37dbe79287ca9ae09375aa6ffb449d3a063aec73e2947",
 	"bf-gehl":        "b0ca44d8356b274df06ec8cd3caffcd481a89152ea94af795be26bda2548c692",
+	"bf-neural":      "9128b84a63b358d57079975b0bca0dc4c215b9bf8e06815d9185b4cf719c7b24",
 }
 
 func TestSnapshotBytesPinned(t *testing.T) {
