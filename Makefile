@@ -143,13 +143,15 @@ xray-smoke:
 	[ $$ok -eq 1 ] && echo "xray-smoke: ok ($$n tablestats events)"
 
 # Go microbenchmarks: root package, engine/telemetry overhead, and the
-# hot-path kernels (fold pipelines / fold sets, recency-stack CAM,
-# fused dot-product, the three flagship cores' probe paths, and the
-# OH-SNAP baseline's scalar and fused steps).
+# hot-path kernels (the lookup-time BF-GHR fold and fold sets,
+# recency-stack CAM, fused dot-product, the three flagship cores' probe
+# paths, the OH-SNAP baseline's scalar and fused steps, and isl-tage-15
+# beside bf-tage-10 on the shared TAGE kernel, whose per-branch ratio is
+# the flagship cost target).
 BENCHTIME ?= 1s
 
 microbench:
 	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) . ./internal/sim \
 		./internal/history ./internal/rs ./internal/dotp \
 		./internal/core/bftage ./internal/core/bfneural ./internal/core/bfgehl \
-		./internal/predictor/ohsnap
+		./internal/predictor/ohsnap ./internal/predictor/tage

@@ -356,14 +356,6 @@ func RunAllSource(preds []Predictor, src TraceSource, opt Options) ([]Result, er
 	return sim.RunAll(preds, src, opt)
 }
 
-// RunAll evaluates several predictors over identical copies of a trace.
-//
-// Compat adapter for the pre-TraceSource API: new code should pass a
-// TraceSource to RunAllSource (or run a matrix on an Engine).
-func RunAll(preds []Predictor, source func() TraceReader, opt Options) ([]Result, error) {
-	return RunAllSource(preds, FuncSource{Label: "trace", OpenFn: func() trace.Reader { return source() }}, opt)
-}
-
 // Matrix builds the cross product of sources × predictors as engine
 // jobs, in source-major order.
 func Matrix(sources []TraceSource, preds []PredictorSpec, opt Options) []Job {

@@ -79,11 +79,10 @@ type Predictor struct {
 	pendStart int
 	cpFree    []checkpoint
 	idxBuf    []uint32
-	// pipe maintains one folded register per history-indexed table over
-	// the BF-GHR, updated by XOR deltas as the segments mutate; table
-	// i >= 1 owns register i-1 (table 0 is PC-indexed and has none).
-	// folds is FoldAll scratch.
-	pipe  *history.FoldPipeline
+	// fold folds the BF-GHR once per history-indexed table at lookup;
+	// table i >= 1 owns register i-1 (table 0 is PC-indexed and has
+	// none). folds is Fold scratch.
+	fold  *history.FoldFamily
 	folds []uint64
 }
 
@@ -130,9 +129,8 @@ func New(cfg Config) *Predictor {
 		}
 		regs = append(regs, history.Register{N: h, W: cfg.LogEntries})
 	}
-	p.pipe = history.NewFoldPipeline(cfg.UnfilteredBits, cfg.SegSize, p.seg.Segments(), regs)
+	p.fold = history.NewFoldFamily(cfg.UnfilteredBits, p.seg.Bits(), regs)
 	p.folds = make([]uint64, len(regs))
-	p.seg.SetPackObserver(p.pipe.SegmentDelta2)
 	return p
 }
 
@@ -168,17 +166,17 @@ func (p *Predictor) putCheckpoint(cp *checkpoint) {
 }
 
 // compute evaluates the adder-tree sum for pc, filling idxBuf with each
-// table's index. Per-table folds come from the fold pipeline (register
-// tails XORed with the folded unfiltered prefix) — no BF-GHR rebuild,
-// no FoldWords walk. It produces exactly the indices of the scalar
-// reference model computeRef (asserted by TestComputeDifferential).
+// table's index. Per-table folds are taken from the packed BF-GHR (the
+// ring's unfiltered prefix, then the segmented stacks' region). It
+// produces exactly the indices of the scalar reference model computeRef
+// (asserted by TestComputeDifferential).
 func (p *Predictor) compute(pc uint64) int32 {
 	if cap(p.idxBuf) < len(p.tables) {
 		p.idxBuf = make([]uint32, len(p.tables))
 	}
 	p.idxBuf = p.idxBuf[:len(p.tables)]
-	uT := p.seg.Ring().RecentTaken(p.cfg.UnfilteredBits)
-	p.pipe.FoldAll(uT, p.folds)
+	rT, _ := p.seg.Region()
+	p.fold.Fold(p.seg.Ring().RecentTaken(p.cfg.UnfilteredBits), 0, rT, nil, p.folds)
 	pch := rng.Hash64(pc >> 2)
 	idxBuf, folds := p.idxBuf, p.folds
 	var sum int32

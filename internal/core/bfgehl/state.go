@@ -1,8 +1,8 @@
 // Snapshot support (bfbp.state.v1). Mutable state: the weight tables,
 // the BST, the segmented recency stacks (which carry the unfiltered
 // history ring), and the adaptive threshold. The in-flight checkpoint
-// FIFO and its free list are transient; the fold pipeline is derived
-// state, rebuilt on load.
+// FIFO and its free list are transient; the BF-GHR folds are computed
+// at lookup.
 
 package bfgehl
 
@@ -110,14 +110,6 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	}
 	if err := p.seg.LoadState(hd); err != nil {
 		return err
-	}
-	// The fold pipeline is derived state: rebuild its register tails
-	// from the restored segments' packed words (LoadState reset them, so
-	// feeding the absolute words through the delta path reconstructs).
-	p.pipe.Reset()
-	for i := 0; i < p.seg.Segments(); i++ {
-		tw, pw := p.seg.PackedWords(i)
-		p.pipe.SegmentDelta2(i, tw, pw)
 	}
 	p.theta, p.tc = theta, tc
 	for i := range p.tables {

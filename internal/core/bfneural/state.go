@@ -79,29 +79,56 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	if err != nil {
 		return err
 	}
+	// Decode and validate the weights and the threshold before touching
+	// any state: satUpdate6 keeps Wm/Wrs weights in [wMin, wMax] (Wb
+	// uses the full int8 range), adaptTheta keeps theta >= 4 and
+	// |tc| < 16, and the loop-trust counter is clamped to [-64, 63].
+	weights := []struct {
+		name   string
+		dst    []int8
+		lo, hi int8
+		got    []int8
+	}{
+		{name: "wb", dst: p.wb, lo: -128, hi: 127},
+		{name: "wm", dst: p.wm, lo: wMin, hi: wMax},
+		{name: "wrs", dst: p.wrs, lo: wMin, hi: wMax},
+	}
+	for i := range weights {
+		t := &weights[i]
+		d, err := s.Dec(t.name)
+		if err != nil {
+			return err
+		}
+		t.got = d.I8s()
+		if err := d.Err(); err != nil {
+			return err
+		}
+		if len(t.got) != len(t.dst) {
+			return fmt.Errorf("%w: %s has %d weights, snapshot %d", state.ErrCorrupt, t.name, len(t.dst), len(t.got))
+		}
+		for j, w := range t.got {
+			if w < t.lo || w > t.hi {
+				return fmt.Errorf("%w: %s weight %d = %d outside [%d, %d]", state.ErrCorrupt, t.name, j, w, t.lo, t.hi)
+			}
+		}
+	}
+	m, err := s.Dec("misc")
+	if err != nil {
+		return err
+	}
+	withLoop, theta, tc := m.I32(), m.I32(), m.I32()
+	if err := m.Err(); err != nil {
+		return err
+	}
+	if theta < 4 || tc < -15 || tc > 15 || withLoop < -64 || withLoop > 63 {
+		return fmt.Errorf("%w: theta %d / tc %d / loop trust %d out of range", state.ErrCorrupt, theta, tc, withLoop)
+	}
 	cd, err := s.Dec("bst")
 	if err != nil {
 		return err
 	}
 	if err := bst.LoadClassifier(cd, p.class); err != nil {
 		return err
-	}
-	for _, t := range []struct {
-		name string
-		dst  []int8
-	}{{"wb", p.wb}, {"wm", p.wm}, {"wrs", p.wrs}} {
-		d, err := s.Dec(t.name)
-		if err != nil {
-			return err
-		}
-		got := d.I8s()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if len(got) != len(t.dst) {
-			return fmt.Errorf("%w: %s has %d weights, snapshot %d", state.ErrCorrupt, t.name, len(t.dst), len(got))
-		}
-		copy(t.dst, got)
 	}
 	hs, err := s.Dec("history")
 	if err != nil {
@@ -143,16 +170,6 @@ func (p *Predictor) LoadState(r io.Reader) error {
 		}
 		p.filt = filt
 	}
-	m, err := s.Dec("misc")
-	if err != nil {
-		return err
-	}
-	p.withLoop = m.I32()
-	p.theta = m.I32()
-	p.tc = m.I32()
-	if err := m.Err(); err != nil {
-		return err
-	}
 	if p.loop != nil {
 		ld, err := s.Dec("loop")
 		if err != nil {
@@ -162,6 +179,10 @@ func (p *Predictor) LoadState(r io.Reader) error {
 			return err
 		}
 	}
+	for _, t := range weights {
+		copy(t.dst, t.got)
+	}
+	p.withLoop, p.theta, p.tc = withLoop, theta, tc
 	p.pending = p.pending[:0]
 	p.pendStart = 0
 	return nil

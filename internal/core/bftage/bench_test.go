@@ -62,7 +62,7 @@ func BenchmarkSimulateBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkFillKeys isolates the fold-pipeline index/tag computation
+// BenchmarkFillKeys isolates the lookup-time fold index/tag computation
 // for all tables of a bf-tage-10 predictor.
 func BenchmarkFillKeys(b *testing.B) {
 	p := New(Conventional(10))

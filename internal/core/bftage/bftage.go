@@ -105,7 +105,7 @@ func conventional(n int, sc, ium bool) Config {
 }
 
 // bank is one tagged table's BF-GHR key parameters: its geometry and its
-// fold-pipeline register ids (index fold, tag folds, address-bit fold).
+// fold register ids (index fold, tag folds, address-bit fold).
 type bank struct {
 	cfg                 tage.TableConfig
 	mask                uint64
@@ -123,13 +123,11 @@ type Predictor struct {
 	seg   *rs.Segmented
 	path  *history.Path
 
-	// pipe is the dual-channel fold pipeline over the BF-GHR's outcome
-	// bits (channel 0) and address bits (channel 1): one register per
-	// table per fold the index/tag hash needs, updated by XOR deltas as
-	// the recency-stack segments mutate instead of re-derived from the
-	// GHR per lookup.
-	pipe *history.FoldPipeline
-	// folds is FoldAll2 scratch, indexed by (global) register id.
+	// fold folds the BF-GHR's outcome bits (channel 0) and address bits
+	// (channel 1) at lookup: one register per table per fold the
+	// index/tag hash needs.
+	fold *history.FoldFamily
+	// folds is Fold scratch, indexed by (global) register id.
 	folds []uint64
 }
 
@@ -176,9 +174,8 @@ func New(cfg Config) *Predictor {
 			history.Register{Ch: 0, N: tc.HistLen, W: max(tc.TagBits-1, 1)},
 			history.Register{Ch: 1, N: tc.HistLen, W: max(tc.LogEntries-1, 1)})
 	}
-	p.pipe = history.NewFoldPipeline(cfg.UnfilteredBits, cfg.SegSize, p.seg.Segments(), regs)
+	p.fold = history.NewFoldFamily(cfg.UnfilteredBits, p.seg.Bits(), regs)
 	p.folds = make([]uint64, len(regs))
-	p.seg.SetPackObserver(p.pipe.SegmentDelta2)
 	return p
 }
 
@@ -214,14 +211,13 @@ func (p *Predictor) reach(histLen int) int {
 	return p.cfg.SegBounds[seg]
 }
 
-// fillKeys computes every table's index and tag from the fold pipelines:
-// each fold is a register tail XORed with the cheap fold of the ring's
-// packed unfiltered prefix — no BF-GHR rebuild, no FoldWords walk.
+// fillKeys computes every table's index and tag from folds of the
+// BF-GHR: the ring's packed unfiltered prefix followed by the segmented
+// stacks' packed region, on both channels.
 func (p *Predictor) fillKeys(pc uint64, idx, tag []uint32) {
 	ring := p.seg.Ring()
-	uT := ring.RecentTaken(p.cfg.UnfilteredBits)
-	uP := ring.RecentPC(p.cfg.UnfilteredBits)
-	p.pipe.FoldAll2(uT, uP, p.folds)
+	rT, rP := p.seg.Region()
+	p.fold.Fold(ring.RecentTaken(p.cfg.UnfilteredBits), ring.RecentPC(p.cfg.UnfilteredBits), rT, rP, p.folds)
 	pch := rng.Hash64(pc >> 2)
 	path := p.path.Value()
 	for i := range p.tables {

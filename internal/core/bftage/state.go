@@ -1,8 +1,8 @@
 // Snapshot support (bfbp.state.v1). The kernel writes the shared TAGE
 // sections (tage.Kernel.SaveSnapshot); BF-TAGE adds the Branch Status
 // Table and the segmented recency stacks (which carry the unfiltered
-// history ring) with the path register. The fold pipeline is derived
-// state, rebuilt on load.
+// history ring) with the path register. The BF-GHR folds are computed
+// at lookup, so nothing derived needs rebuilding.
 
 package bftage
 
@@ -69,15 +69,6 @@ func (p *Predictor) LoadState(r io.Reader) error {
 		}
 		if err := p.seg.LoadState(hs); err != nil {
 			return err
-		}
-		// The fold pipeline is derived state: rebuild its register tails
-		// from the restored segments' packed words (LoadState reset them,
-		// so feeding the absolute words through the delta path
-		// reconstructs).
-		p.pipe.Reset()
-		for i := 0; i < p.seg.Segments(); i++ {
-			tw, pw := p.seg.PackedWords(i)
-			p.pipe.SegmentDelta2(i, tw, pw)
 		}
 		return p.path.LoadState(hs)
 	})

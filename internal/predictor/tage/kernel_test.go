@@ -34,7 +34,7 @@ var families = []struct {
 }
 
 // spec03 synthesizes a deterministic mixed workload.
-func spec03(t *testing.T, n int) trace.Slice {
+func spec03(t testing.TB, n int) trace.Slice {
 	t.Helper()
 	for _, s := range workload.Traces() {
 		if s.Name == "SPEC03" {

@@ -80,8 +80,11 @@ func (g *segment) save(e *state.Enc) {
 }
 
 // load rebuilds the segment from a saved entry list, repacking the
-// outcome/address words directly.
-func (g *segment) load(d *state.Dec) error {
+// outcome/address words directly. seq is the restored position counter:
+// slots are inserted with ever-increasing sequence numbers no later than
+// it, so their seqs must be strictly decreasing and at most seq —
+// eviction only inspects the tail and computes seq - seqs[n-1].
+func (g *segment) load(d *state.Dec, seq uint64) error {
 	n := int(d.U32())
 	if err := d.Err(); err != nil {
 		return err
@@ -94,20 +97,25 @@ func (g *segment) load(d *state.Dec) error {
 	for j := 0; j < n; j++ {
 		pc := d.U64()
 		taken := d.Bool()
-		seq := d.U64()
+		g.seqs[j] = d.U64()
+		if err := d.Err(); err != nil {
+			return err
+		}
 		for k := 0; k < j; k++ {
 			if g.pcs[k] == uint32(pc) {
 				return fmt.Errorf("%w: duplicate cam pc %#x", state.ErrCorrupt, pc)
 			}
 		}
+		if g.seqs[j] > seq || j > 0 && g.seqs[j] >= g.seqs[j-1] {
+			return fmt.Errorf("%w: segment slot %d seq %d out of order (position %d)", state.ErrCorrupt, j, g.seqs[j], seq)
+		}
 		g.pcs[j] = uint32(pc)
-		g.seqs[j] = seq
 		if taken {
 			g.takenBits |= 1 << uint(j)
 		}
 		g.pcBits |= (pc & 1) << uint(j)
 	}
-	return d.Err()
+	return nil
 }
 
 // SaveState appends the segmented stack's position counter, unfiltered
@@ -135,10 +143,16 @@ func (s *Segmented) LoadState(d *state.Dec) error {
 	if n != len(s.segs) {
 		return fmt.Errorf("%w: segmented stack has %d segments, snapshot %d", state.ErrCorrupt, len(s.segs), n)
 	}
+	clear(s.regT)
+	clear(s.regP)
 	for i := range s.segs {
-		if err := s.segs[i].load(d); err != nil {
+		g := &s.segs[i]
+		if err := g.load(d, s.seq); err != nil {
 			return err
 		}
+		off := uint(i * s.segSize)
+		xorAt(s.regT, off, g.takenBits)
+		xorAt(s.regP, off, g.pcBits)
 	}
 	return d.Err()
 }

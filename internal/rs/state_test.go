@@ -164,3 +164,49 @@ func decOf(e state.Enc) *state.Dec {
 }
 
 func encBytes(e *state.Enc) []byte { return e.Data() }
+
+// TestSegmentedLoadRejectsImpossibleSeqs hand-builds segmented snapshots
+// whose slot sequence numbers Commit could never produce. Eviction relies
+// on both invariants — only the tail expires, and the restored position
+// minus the tail's seq must not underflow — so they must load as
+// ErrCorrupt, while a consistent stack still loads.
+func TestSegmentedLoadRejectsImpossibleSeqs(t *testing.T) {
+	mk := func() *Segmented { return NewSegmented([]int{2, 6, 14}, 4) }
+	type slot struct{ pc, seq uint64 }
+	// image encodes position counter pos, an empty ring, segment 0 with
+	// the given slots (most recent first) and an empty segment 1.
+	image := func(pos uint64, slots ...slot) state.Enc {
+		var e state.Enc
+		e.U64(pos)
+		mk().Ring().SaveState(&e)
+		e.U32(2)
+		e.U32(uint32(len(slots)))
+		for _, s := range slots {
+			e.U64(s.pc)
+			e.Bool(true)
+			e.U64(s.seq)
+		}
+		e.U32(0)
+		return e
+	}
+	for _, c := range []struct {
+		name    string
+		img     state.Enc
+		corrupt bool
+	}{
+		{"increasing seqs", image(20, slot{1, 10}, slot{2, 12}), true},
+		{"equal seqs", image(20, slot{1, 10}, slot{2, 10}), true},
+		{"seq past position", image(20, slot{1, 21}, slot{2, 12}), true},
+		{"tail seq past position", image(5, slot{1, 6}), true},
+		{"decreasing seqs", image(20, slot{1, 19}, slot{2, 18}, slot{3, 3}), false},
+		{"seq at position", image(20, slot{1, 20}), false},
+	} {
+		err := mk().LoadState(decOf(c.img))
+		if c.corrupt && !errors.Is(err, state.ErrCorrupt) {
+			t.Errorf("%s: LoadState = %v, want ErrCorrupt", c.name, err)
+		}
+		if !c.corrupt && err != nil {
+			t.Errorf("%s: LoadState = %v, want success", c.name, err)
+		}
+	}
+}

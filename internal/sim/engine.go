@@ -29,8 +29,9 @@ type TraceSource interface {
 	Open() trace.Reader
 }
 
-// FuncSource adapts a label and an open function to TraceSource — the
-// compat bridge from the old RunAll(source func() trace.Reader) shape.
+// FuncSource adapts a label and an open function to TraceSource, for
+// streams composed at open time (cmd/bfsim wraps its -skip streams and
+// endurance concatenations with it).
 type FuncSource struct {
 	Label  string
 	OpenFn func() trace.Reader
