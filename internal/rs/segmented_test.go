@@ -215,3 +215,26 @@ func TestSegmentedStorage(t *testing.T) {
 		t.Fatalf("storage = %d bits, want %d", got, 128*16)
 	}
 }
+
+// AppendBFGHR appends the segmented stacks' outcome bits to dst in
+// increasing depth order — segment 0's slots first — with empty slots
+// contributing false. It is the []bool reference form of AppendPacked.
+func (s *Segmented) AppendBFGHR(dst []bool) []bool {
+	for i := range s.segs {
+		for j := 0; j < s.segSize; j++ {
+			dst = append(dst, s.segs[i].takenBits>>uint(j)&1 != 0)
+		}
+	}
+	return dst
+}
+
+// AppendBFPCs appends the segmented stacks' hashed-address low bits
+// (1 bit per slot) to dst, same geometry as AppendBFGHR.
+func (s *Segmented) AppendBFPCs(dst []bool) []bool {
+	for i := range s.segs {
+		for j := 0; j < s.segSize; j++ {
+			dst = append(dst, s.segs[i].pcBits>>uint(j)&1 != 0)
+		}
+	}
+	return dst
+}
